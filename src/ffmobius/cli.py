@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -470,9 +471,27 @@ RUNNERS = {
 }
 
 
+SERIES_FLAGS = ("--alpha", "--beta")
+
+
+def _join_series_literals(argv: list) -> list:
+    """Rejoin `--alpha -1:...` as `--alpha=-1:...`.
+
+    argparse reads a separate token that starts with '-' as an option, so a
+    series literal with a negative top degree would otherwise leave
+    --alpha/--beta without its argument."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in SERIES_FLAGS and re.match(r"-\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_series_literals(sys.argv[1:] if argv is None else argv))
     try:
         cfg = resolve_config(args)
         ctx = parse_field(cfg["field"])

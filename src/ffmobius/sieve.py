@@ -7,11 +7,19 @@ exactly the code interval [q^d, 2 q^d), which lets whole-degree sweeps work
 on contiguous numpy slices.
 
 The central object is MonicSieve: flat arrays of mu, Lambda (von Mangoldt)
-and tau over all monic codes up to a degree bound, built by marking
-multiples of irreducibles in increasing order and then propagating the
-multiplicative recursions along smallest-factor quotients.  The per-degree
-irreducible lists produced on the way double as the irreducible enumerator,
-and each list is checked against the necklace count (1/n) sum mu(d) q^(n/d).
+and tau over all monic codes up to a degree bound.  It is built one degree
+at a time: whole blocks of irreducibles of each lower degree are multiplied
+by all monics of the complementary degree, the first product to reach a code
+recording its smallest factor and quotient, and the multiplicative
+recursions then run along those quotients.  A sieve grows by sieving only
+the new degrees.  The per-degree irreducible lists produced on the way
+double as the irreducible enumerator, and each list is checked against the
+necklace count (1/n) sum mu(d) q^(n/d).
+
+Every product of polynomials here goes through one primitive: a block of
+digit rows times another block, as a batched matmul of base-p digits
+(multiplication by a fixed polynomial is F_p-linear) followed by reduction
+mod p.  The sieve and convolve_monic consume its output in bounded chunks.
 """
 
 from __future__ import annotations
@@ -62,17 +70,12 @@ _TAILS: dict[tuple, np.ndarray] = {}
 
 
 def monic_tails(ctx: FieldCtx, m: int) -> np.ndarray:
-    """(q^m, m) matrix whose row j holds the digits of j: all tails of A_m."""
+    """(q^m, m) matrix whose row j holds the digits of j: all tails of A_m.
+
+    A view of monic_digit_matrix without its leading column."""
     key = (ctx, m)
     if key not in _TAILS:
-        q = ctx.q
-        j = np.arange(q**m, dtype=np.int64)
-        cols = [(j // q**i) % q for i in range(m)]
-        _TAILS[key] = (
-            np.stack(cols, axis=1).astype(np.int16)
-            if m
-            else np.zeros((1, 0), dtype=np.int16)
-        )
+        _TAILS[key] = monic_digit_matrix(ctx, m)[:, :m]
     return _TAILS[key]
 
 
@@ -98,110 +101,164 @@ def scale_digits(ctx: FieldCtx, c: int, digits: np.ndarray) -> np.ndarray:
     return ctx.MUL[c][digits].astype(np.int16)
 
 
+# -- the pairwise-product primitive -------------------------------------------
+
+# Cap on the digit entries (products x output base-p digits) that one
+# vectorised product step holds; bounds the temporaries of block marking and
+# of convolve_monic whatever the degrees involved.
+CHUNK_ENTRIES = 1 << 16
+
+
+def _base_p(ctx: FieldCtx, digits: np.ndarray) -> np.ndarray:
+    """Base-p digits of rows of F_q digits: (k, w) -> (k, s w), as float32.
+
+    A code's base-p digits are exactly these, since q^i = p^(s i)."""
+    p, s = ctx.p, ctx.s
+    table = (np.arange(ctx.q)[:, None] // p ** np.arange(s)) % p
+    return np.take(table.astype(np.float32), digits, axis=0).reshape(len(digits), -1)
+
+
+def _pair_codes(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) codes of the products of the digit rows of a and b.
+
+    Multiplication by a fixed polynomial is F_p-linear on base-p digits, so
+    for each row of the smaller side its matrix (a Toeplitz matrix of the
+    row scaled by the power-basis elements x^l) is built, and one batched
+    matmul applies all of them to the other side.  The digit sums are small
+    integers, exact in float32; they are reduced mod p and read back as
+    codes, exact in float64 (codes index arrays, so they are far below 2^53).
+    """
+    if len(a) > len(b):
+        return _pair_codes(ctx, b, a).T
+    p, s = ctx.p, ctx.s
+    wa, wb = a.shape[1], b.shape[1]
+    width = s * (wa + wb - 1)
+    mats = np.zeros((len(a), s * wb, width), dtype=np.float32)
+    for l in range(s):
+        scaled = _base_p(ctx, np.take(ctx.MUL[p**l], a) if l else a)
+        for j in range(wb):
+            mats[:, s * j + l, s * j : s * (j + wa)] = scaled
+    digit_sums = (_base_p(ctx, b) @ mats).astype(np.int32)
+    digits = digit_sums & 1 if p == 2 else digit_sums % p
+    return (digits @ float(p) ** np.arange(width)).astype(np.int64)
+
+
+def _product_blocks(ctx: FieldCtx, a: np.ndarray, b: np.ndarray):
+    """Yield (i0, j0, codes), codes[i, j] the code of a[i0 + i] * b[j0 + j].
+
+    Blocks come in (row of a, row of b) order and hold at most
+    CHUNK_ENTRIES digit entries; a block spans several rows of a only when
+    it holds all of b, so that the first product of a code met in this
+    order is also the first in row-major order.
+    """
+    width = ctx.s * (a.shape[1] + b.shape[1] - 1)
+    rows = max(1, CHUNK_ENTRIES // (len(b) * width))
+    cols = len(b) if rows > 1 else max(1, CHUNK_ENTRIES // width)
+    for i0 in range(0, len(a), rows):
+        for j0 in range(0, len(b), cols):
+            yield i0, j0, _pair_codes(ctx, a[i0 : i0 + rows], b[j0 : j0 + cols])
+
+
 def poly_times_monics(ctx: FieldCtx, f_digits, m: int) -> np.ndarray:
     """Codes of f * (t^m + tail) for every tail in [0, q^m), in tail order.
 
     f_digits are the coefficient codes of a nonzero f, constant term first.
     """
-    q, p = ctx.q, ctx.p
-    f_digits = tuple(int(c) for c in f_digits)
-    df = len(f_digits) - 1
-    width = df + m + 1
-    n_rows = q**m
-    tails = monic_tails(ctx, m)
-    if ctx.s == 1:
-        out = np.zeros((n_rows, width), dtype=np.int32)
-        for i, fi in enumerate(f_digits):
-            if fi:
-                out[:, i + m] += fi  # contribution of f * t^m
-                if m:
-                    out[:, i : i + m] += fi * tails.astype(np.int32)
-        out %= p
-    else:
-        out = np.zeros((n_rows, width), dtype=np.int16)
-        ADD = ctx.ADD
-        for i, fi in enumerate(f_digits):
-            if fi:
-                out[:, i + m] = ADD[out[:, i + m], fi]
-                if m:
-                    out[:, i : i + m] = ADD[
-                        out[:, i : i + m], scale_digits(ctx, fi, tails)
-                    ]
-    return digits_to_codes(ctx, out)
+    f = np.asarray([[int(c) for c in f_digits]], dtype=np.int16)
+    return _pair_codes(ctx, f, monic_digit_matrix(ctx, m))[0]
 
 
 # -- the sieve ---------------------------------------------------------------
 
 
 class MonicSieve:
-    """mu / Lambda / tau and smallest-factor data over monic codes < 2 q^D."""
+    """mu / Lambda / tau and smallest-factor data over monic codes < 2 q^D.
+
+    Degrees are added in increasing order.  For degree n, every product of a
+    degree-d irreducible block with all monics of degree n - d (d < n) is
+    marked in (d, irreducible code, tail) order, the first writer of a code
+    giving its smallest factor spf and the quotient quot; the codes left
+    unmarked are the irreducibles of degree n, checked against the necklace
+    count.  mu, Lambda and tau of degree n then follow from the values at
+    quot.  A sieve of ctx already in _SIEVES with a lower degree bound is
+    extended: its arrays become the low end of the new ones and only the
+    new degrees are sieved.
+    """
+
+    _ARRAYS = (
+        ("mu", np.int8),
+        ("mangoldt", np.int16),
+        ("tau", np.int64),
+        ("spf_code", np.int64),
+        ("spf_deg", np.int16),
+        ("quot", np.int64),
+        ("_spf_mult", np.int8),  # multiplicity of spf(f) in f
+    )
 
     def __init__(self, ctx: FieldCtx, max_deg: int):
         self.ctx = ctx
         self.max_deg = max_deg
-        q = ctx.q
-        size = 2 * q**max_deg
-        self.mu = np.zeros(size, dtype=np.int8)
-        self.mangoldt = np.zeros(size, dtype=np.int16)
-        self.tau = np.zeros(size, dtype=np.int64)
-        self.spf_code = np.zeros(size, dtype=np.int64)
-        self.spf_deg = np.zeros(size, dtype=np.int16)
-        self.quot = np.zeros(size, dtype=np.int64)
-        self.irr_codes: dict[int, np.ndarray] = {}
-        self._build()
+        base = _SIEVES.get(ctx)
+        if base is not None and base.max_deg >= max_deg:
+            base = None
+        size = 2 * ctx.q**max_deg
+        for name, dtype in self._ARRAYS:
+            arr = np.zeros(size, dtype=dtype)
+            if base is not None:
+                old = getattr(base, name)
+                arr[: len(old)] = old
+            setattr(self, name, arr)
+        if base is None:
+            self.irr_codes: dict[int, np.ndarray] = {}
+            self.mu[1] = 1
+            self.tau[1] = 1
+        else:
+            self.irr_codes = dict(base.irr_codes)
+        for n in range(1 if base is None else base.max_deg + 1, max_deg + 1):
+            self._add_degree(n)
 
-    def _build(self):
-        ctx, D = self.ctx, self.max_deg
+    def _add_degree(self, n: int):
+        ctx = self.ctx
         q = ctx.q
-        marked = np.zeros(2 * q**D, dtype=bool)
-        # discover irreducibles degree by degree, marking their multiples
-        for d in range(1, D + 1):
-            lo, hi = q**d, 2 * q**d
-            cand = np.arange(lo, hi, dtype=np.int64)
-            irr = cand[~marked[lo:hi]]
-            assert len(irr) == necklace_count(q, d), "irreducible count mismatch"
-            self.irr_codes[d] = irr
-            for pc in irr:
-                fd = [(int(pc) // q**i) % q for i in range(d + 1)]
-                for m in range(1, D - d + 1):
-                    codes = poly_times_monics(ctx, fd, m)
-                    fresh = ~marked[codes]
-                    sel = codes[fresh]
-                    marked[sel] = True
-                    self.spf_code[sel] = pc
-                    self.spf_deg[sel] = d
-                    self.quot[sel] = q**m + np.nonzero(fresh)[0]
-        # multiplicative recursion along f = spf(f) * quot(f)
-        mult = np.zeros(2 * q**D, dtype=np.int16)  # multiplicity of spf
-        ipp = np.zeros(2 * q**D, dtype=bool)  # is a prime power
-        self.mu[1] = 1
-        self.tau[1] = 1
-        for d in range(1, D + 1):
-            lo, hi = q**d, 2 * q**d
-            idx = np.arange(lo, hi, dtype=np.int64)
-            is_comp = marked[lo:hi]
-            irr = idx[~is_comp]
-            self.mu[irr] = -1
-            self.tau[irr] = 2
-            self.mangoldt[irr] = d
-            self.spf_code[irr] = irr
-            self.spf_deg[irr] = d
-            self.quot[irr] = 1
-            mult[irr] = 1
-            ipp[irr] = True
-            comp = idx[is_comp]
-            if len(comp) == 0:
-                continue
-            h = self.quot[comp]
-            same = self.spf_code[h] == self.spf_code[comp]
-            eh = mult[h]
-            mult[comp] = np.where(same, eh + 1, 1)
-            self.mu[comp] = np.where(same, 0, -self.mu[h])
-            self.tau[comp] = np.where(
-                same, self.tau[h] // (eh + 1) * (eh + 2), self.tau[h] * 2
+        for d in range(1, n):
+            irr = self.irr_codes[d]
+            m = n - d
+            blocks = _product_blocks(
+                ctx, codes_to_digits(ctx, irr, d + 1), monic_digit_matrix(ctx, m)
             )
-            ipp[comp] = (h == 1) | (ipp[h] & same)
-            self.mangoldt[comp] = np.where(ipp[comp], self.spf_deg[comp], 0)
+            for i0, j0, codes in blocks:
+                flat = codes.ravel()
+                fresh = np.flatnonzero(self.spf_deg[flat] == 0)
+                new, first = np.unique(flat[fresh], return_index=True)
+                row, tail = np.divmod(fresh[first], codes.shape[1])
+                self.spf_code[new] = irr[i0 + row]
+                self.spf_deg[new] = d
+                self.quot[new] = q**m + j0 + tail
+        lo, hi = q**n, 2 * q**n
+        is_comp = self.spf_deg[lo:hi] != 0
+        irr = lo + np.flatnonzero(~is_comp)
+        assert len(irr) == necklace_count(q, n), "irreducible count mismatch"
+        self.irr_codes[n] = irr
+        # multiplicative recursion along f = spf(f) * quot(f)
+        self.mu[irr] = -1
+        self.tau[irr] = 2
+        self.mangoldt[irr] = n
+        self.spf_code[irr] = irr
+        self.spf_deg[irr] = n
+        self.quot[irr] = 1
+        self._spf_mult[irr] = 1
+        comp = lo + np.flatnonzero(is_comp)
+        h = self.quot[comp]
+        same = self.spf_code[h] == self.spf_code[comp]
+        eh = self._spf_mult[h]
+        self._spf_mult[comp] = np.where(same, eh + 1, 1)
+        self.mu[comp] = np.where(same, 0, -self.mu[h])
+        self.tau[comp] = np.where(
+            same, self.tau[h] // (eh + 1) * (eh + 2), self.tau[h] * 2
+        )
+        # f is a prime power iff its quotient is one with the same prime
+        prime_power = same & (self.mangoldt[h] != 0)
+        self.mangoldt[comp] = np.where(prime_power, self.spf_deg[comp], 0)
 
     def degree_slice(self, arr: np.ndarray, d: int) -> np.ndarray:
         q = self.ctx.q
@@ -262,36 +319,40 @@ def monic_digit_matrix(ctx: FieldCtx, d: int) -> np.ndarray:
     """(q^d, d+1) digits of every monic polynomial of degree d."""
     key = (ctx, d)
     if key not in _MONIC_DIGITS:
-        tails = monic_tails(ctx, d)
-        lead = np.ones((tails.shape[0], 1), dtype=np.int16)
-        _MONIC_DIGITS[key] = np.hstack([tails, lead])
+        q = ctx.q
+        j = np.arange(q**d, dtype=np.int64)
+        digits = np.ones((q**d, d + 1), dtype=np.int16)
+        for i in range(d):  # one column at a time keeps int64 temporaries small
+            digits[:, i] = j // q**i % q
+        _MONIC_DIGITS[key] = digits
     return _MONIC_DIGITS[key]
 
 
 def convolve_monic(ctx: FieldCtx, max_deg: int, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
     """Dirichlet convolution over monics: out[f] = sum_{g h = f} wa[g] wb[h].
 
-    wa, wb are int arrays indexed by monic code.  The double sum is organised
-    per degree pair, looping python-side over the smaller factor set and
-    scattering vectorised products of the larger one.
+    wa, wb are int arrays indexed by monic code.  For each degree pair the
+    monics of nonzero weight on either side are multiplied in product
+    blocks, and the outer product of their weights is scattered onto the
+    product codes.
     """
     q = ctx.q
     out = np.zeros(2 * q**max_deg, dtype=np.int64)
+    nonzero_b = [np.flatnonzero(wb[q**d : 2 * q**d]) for d in range(max_deg + 1)]
     for da in range(max_deg + 1):
+        ia = np.flatnonzero(wa[q**da : 2 * q**da])
+        if not len(ia):
+            continue
+        a = monic_digit_matrix(ctx, da)[ia]
         for db in range(max_deg + 1 - da):
-            wa_sl = wa[q**da : 2 * q**da]
-            wb_sl = wb[q**db : 2 * q**db]
-            if not (np.any(wa_sl) and np.any(wb_sl)):
+            ib = nonzero_b[db]
+            if not len(ib):
                 continue
-            # loop over the smaller side
-            if q**da <= q**db:
-                loop_deg, loop_w, vec_deg, vec_w = da, wa_sl, db, wb_sl
-            else:
-                loop_deg, loop_w, vec_deg, vec_w = db, wb_sl, da, wa_sl
-            base = q**loop_deg
-            for j in np.nonzero(loop_w)[0]:
-                g = base + int(j)
-                fd = [(g // q**i) % q for i in range(loop_deg + 1)]
-                codes = poly_times_monics(ctx, fd, vec_deg)
-                np.add.at(out, codes, int(loop_w[j]) * vec_w)
+            blocks = _product_blocks(ctx, a, monic_digit_matrix(ctx, db)[ib])
+            for i0, j0, codes in blocks:
+                rows, cols = codes.shape
+                weights = np.multiply.outer(
+                    wa[q**da + ia[i0 : i0 + rows]], wb[q**db + ib[j0 : j0 + cols]]
+                )
+                np.add.at(out, codes, weights)
     return out

@@ -153,3 +153,34 @@ def test_identity_failure_exits_1(monkeypatch, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "identity violated" in err and "t^2+t" in err
+
+
+SERIES_ARGS = [
+    ["linear-corr", "--field", "3", "--n", "8", "--alpha", "-1:1,0,2,1,0,0,0,1,1"],
+    ["hankel-corr", "--field", "3", "--n", "3", "--alpha", "-1:1,0,2,1,0,0,0,1",
+     "--beta", "-2:2,1,0,1"],
+]
+
+
+@pytest.mark.parametrize("args", SERIES_ARGS, ids=lambda a: a[0])
+def test_series_literal_after_space_or_equals(args):
+    # a literal starts with '-'; both the README's `--alpha "-1:..."` and
+    # `--alpha=-1:...` must reach the parser as the flag's value
+    spaced = run_cli(args)
+    joined = []
+    for tok in args:
+        if joined and joined[-1] in ("--alpha", "--beta"):
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    equals = run_cli(joined)
+    assert spaced.returncode == 0, spaced.stderr
+    assert equals.returncode == 0, equals.stderr
+    assert spaced.stdout == equals.stdout
+    assert "alpha=-1:1,0,2" in spaced.stdout.split("\n")[0]
+
+
+def test_series_flag_without_value_exits_2():
+    res = run_cli(["linear-corr", "--field", "3", "--n", "4", "--alpha", "--n", "5"])
+    assert res.returncode == 2
+    assert "--alpha" in res.stderr

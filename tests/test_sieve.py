@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from ffmobius import Poly, factorize, get_field, mangoldt, mobius, tau
+from ffmobius import sieve as _sieve
 from ffmobius.sieve import (
     convolve_monic,
     get_sieve,
@@ -101,3 +104,100 @@ def test_mu_column_sums():
         for n in range(1, D + 1):
             col = int(s.degree_slice(s.mu, n).astype(np.int64).sum())
             assert col == (-ctx.q if n == 1 else 0)
+
+
+# First 16 hex digits of the sha256 of each sieve array (dtype name, then
+# raw bytes), recorded from a build that marked one irreducible at a time.
+# Every build, however it is chunked or grown, must reproduce them bit for bit.
+SEED_DIGESTS = {
+    (2, 1, 12): {
+        "mu": "baf53ffa805f5316",
+        "mangoldt": "85047737dfd5118f",
+        "tau": "3421ed7ecb8dfedc",
+        "spf_code": "18bf61292f4e0814",
+        "spf_deg": "341b66f36a4524e2",
+        "quot": "35ef009b3a4e3931",
+        "irr_codes": "3010a1f461457198",
+    },
+    (3, 1, 8): {
+        "mu": "22d10873192ccf46",
+        "mangoldt": "6e0dedb86916d049",
+        "tau": "c60de8ebbbbb6d56",
+        "spf_code": "51d5fb53e15d3190",
+        "spf_deg": "a063eaec50d2e164",
+        "quot": "1554f01bd25a2301",
+        "irr_codes": "123c4620810dc8ec",
+    },
+    (2, 2, 6): {
+        "mu": "f8955cc2fff49655",
+        "mangoldt": "78352a72bf1439aa",
+        "tau": "4323782ba2302222",
+        "spf_code": "fdc6cb6e91066133",
+        "spf_deg": "00bd37442c8f9a4a",
+        "quot": "4efa454548fc30c5",
+        "irr_codes": "dc0be491b5bc13e2",
+    },
+    (5, 1, 5): {
+        "mu": "698deb4ab475bd80",
+        "mangoldt": "8250dce4b213f7d8",
+        "tau": "e3a6a1a5777c1882",
+        "spf_code": "535bc44e42d6428a",
+        "spf_deg": "8144f07f02e9afc7",
+        "quot": "0a79bea174244be5",
+        "irr_codes": "99a609d4e598fbcd",
+    },
+    (3, 2, 4): {
+        "mu": "a5eeecaefe26dca4",
+        "mangoldt": "613c5ec82b3db2a0",
+        "tau": "cf62ef9f3de5fd5f",
+        "spf_code": "d71600edc53a7b7f",
+        "spf_deg": "8adbdc0b59ca26e2",
+        "quot": "b4e20da472acd7d6",
+        "irr_codes": "642e0377c75afe3b",
+    },
+}
+
+
+def sieve_digests(sv):
+    out = {}
+    for name in ("mu", "mangoldt", "tau", "spf_code", "spf_deg", "quot"):
+        arr = getattr(sv, name)
+        out[name] = hashlib.sha256(str(arr.dtype).encode() + arr.tobytes()).hexdigest()[:16]
+    h = hashlib.sha256()
+    for d in sorted(sv.irr_codes):
+        arr = sv.irr_codes[d]
+        h.update(f"{d}:{arr.dtype}:".encode() + arr.tobytes())
+    out["irr_codes"] = h.hexdigest()[:16]
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("key", sorted(SEED_DIGESTS), ids=lambda k: "q={}^{},D={}".format(*k))
+def test_sieve_arrays_match_seed_digests(key, chunk, monkeypatch):
+    # chunk=7 splits every degree block into one- or two-product steps, so
+    # the first writer of a code is decided across steps, not within one
+    p, s, D = key
+    monkeypatch.setattr(_sieve, "_SIEVES", {})
+    if chunk is not None:
+        monkeypatch.setattr(_sieve, "CHUNK_ENTRIES", chunk)
+    assert sieve_digests(_sieve.MonicSieve(get_field(p, s), D)) == SEED_DIGESTS[key]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_grown_sieve_matches_fresh(p, monkeypatch):
+    ctx = get_field(p)
+    built = []
+    add_degree = _sieve.MonicSieve._add_degree
+
+    def recording(self, n):
+        built.append(n)
+        add_degree(self, n)
+
+    monkeypatch.setattr(_sieve, "_SIEVES", {})
+    monkeypatch.setattr(_sieve.MonicSieve, "_add_degree", recording)
+    for D in (2, 5, 8):
+        grown = _sieve.get_sieve(ctx, D)
+    assert built == list(range(1, 9))  # each degree sieved once
+    monkeypatch.setattr(_sieve, "_SIEVES", {})
+    fresh = _sieve.MonicSieve(ctx, 8)
+    assert sieve_digests(grown) == sieve_digests(fresh)
