@@ -11,6 +11,7 @@ import csv
 import pathlib
 
 from ffmobius import Poly, build_group, char_sum_exponent_report, l_polynomial, parse_field, rh_check
+from ffmobius.errors import BudgetExceeded
 
 
 def write_csv(path, columns, rows):
@@ -40,7 +41,7 @@ def main():
                 Q = Poly.from_code(ctx, ctx.q**m + j)
                 try:
                     groups.append(build_group(ctx, l, Q, budget=args.order_budget))
-                except Exception:
+                except BudgetExceeded:  # group order above --order-budget
                     continue
 
     coeff_rows, root_rows = [], []

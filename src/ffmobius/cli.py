@@ -191,12 +191,15 @@ def write_report(sub: str, cfg: dict, columns: list, rows: list):
         sys.stdout.write(text)
 
 
-def _parse_alpha(ctx, text: str, rng, prec: int) -> LaurentSeries:
+def _parse_alpha(ctx, text: str, rng, prec: int, flag: str) -> LaurentSeries:
     if text == "random":
         return sample_torus(ctx, rng, prec)
     if text == "0":
         return LaurentSeries.zero(ctx, prec)
-    return LaurentSeries.parse(ctx, text)
+    alpha = LaurentSeries.parse(ctx, text)
+    if not alpha.in_torus():
+        raise UsageError(f"{flag} {text} is not in the torus: its coefficients of degree >= 0 must be 0")
+    return alpha
 
 
 # -- runners ---------------------------------------------------------------------
@@ -328,7 +331,7 @@ def run_logderiv_check(ctx, cfg, rng):
 
 def run_linear_corr(ctx, cfg, rng):
     n = cfg["n"]
-    alpha = _parse_alpha(ctx, cfg["alpha"], rng, n + 1)
+    alpha = _parse_alpha(ctx, cfg["alpha"], rng, n + 1, "--alpha")
     rep = linear_corr(ctx, n, alpha, cfg["domain"], cfg["budget"], cfg["workers"])
     s = rep.sum(ctx)
     rows = [
@@ -362,8 +365,8 @@ def run_hankel_corr(ctx, cfg, rng):
     n = cfg["n"]
     rows = []
     for trial in range(cfg["trials"]):
-        alpha = _parse_alpha(ctx, cfg["alpha"], rng, 2 * n + 2)
-        beta = _parse_alpha(ctx, cfg["beta"], rng, n + 1)
+        alpha = _parse_alpha(ctx, cfg["alpha"], rng, 2 * n + 2, "--alpha")
+        beta = _parse_alpha(ctx, cfg["beta"], rng, n + 1, "--beta")
         rep = hankel_corr(ctx, n, alpha, beta, cfg["budget"], cfg["workers"])
         s = rep.sum(ctx)
         rows.append((trial, n, rep.phase, s.real, s.imag, rep.abs(ctx), rep.empirical_exponent(ctx)))
@@ -431,6 +434,8 @@ def run_isotropic(ctx, cfg, rng):
 
 def run_rank_stats(ctx, cfg, rng):
     n, k, h = cfg["n"], cfg["k"], cfg["h"]
+    if not 0 <= k <= n:
+        raise UsageError(f"--k {k} must lie in 0..{n}, the value of --n")
     alpha = sample_torus(ctx, rng, 2 * n + 2)
     M = hankel_matrix(alpha, n)
     rs = rank_stats(

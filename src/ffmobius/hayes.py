@@ -9,11 +9,17 @@ which also yields discrete logs in invariant-factor coordinates.  Character
 values are kept as root-of-unity exponents so products and histograms stay
 exact; complex numbers appear only when coefficient sums are assembled.
 
-L-polynomial coefficients c_n = sum over A_n of lambda(f) are computed by
-enumeration.  For non-principal lambda they must vanish for
-n >= l + deg Q, every root must have modulus 1 or q^(-1/2), and
-1/L must reproduce the Mobius-twisted sums; violations raise, since all
-three facts are theorems in this setting.
+The sums over A_n of lambda(f), mu(f) lambda(f) and Lambda(f) lambda(f)
+come from one table per (group, n).  class_weights sorts A_n into classes
+in one vectorised pass (residues_mod gives f mod Q, the tail digits give
+the head) and totals the count, mu and Lambda per class.  One chunked
+histogram pass then turns these into exact integer exponent histograms over
+Z/L for every character at once, and only their complex sums are kept.  The
+L-polynomial coefficients c_n and the Euler and log-derivative checks all
+read that table.  For non-principal lambda the c_n must vanish for
+n >= l + deg Q, every root must have modulus 1 or q^(-1/2), and 1/L must
+reproduce the Mobius-twisted sums; violations raise, since all three facts
+are theorems in this setting.
 """
 
 from __future__ import annotations
@@ -48,6 +54,10 @@ __all__ = [
 
 VANISH_TOL = 1e-6
 ROOT_TOL = 1e-6
+
+# Cap on the (characters x elements) exponent entries that one block of
+# HayesGroup.exponent_histograms holds; bounds its temporaries.
+CHAR_CHUNK_ENTRIES = 1 << 14
 
 
 def euler_phi(Q: Poly) -> int:
@@ -97,6 +107,9 @@ class HayesGroup:
         self._build_elements()
         self._build_structure()
         self._weights_cache: dict[int, tuple] = {}
+        self._sums_cache: dict[int, np.ndarray] = {}
+        self._roots_cache: dict[tuple, np.ndarray] = {}
+        self._unit_roots = np.exp(2j * np.pi * np.arange(self.exponent_lcm) / self.exponent_lcm)
 
     # -- the raw multiplication law -------------------------------------------
 
@@ -119,20 +132,17 @@ class HayesGroup:
     def _build_elements(self):
         ctx, l, Q = self.ctx, self.l, self.Q
         q = ctx.q
-        if self.m == 0:
-            residues = [0]
-        else:
-            residues = [
-                r
-                for r in range(q**self.m)
-                if poly_coprime(Poly.from_code(ctx, r), Q)
-            ]
+        residues = np.flatnonzero(_coprime_residue_mask(ctx, Q))
         assert len(residues) == self.phi, "phi(Q) mismatch against enumeration"
+        # element index = rank of the residue among the invertible ones, then
+        # the head digits a_1..a_l in mixed radix (a_1 least significant)
+        self._residue_rank = np.full(q**self.m, -1, dtype=np.int64)
+        self._residue_rank[residues] = np.arange(len(residues))
         self.elements: list[HayesClass] = []
         for r in residues:
             for h in range(q**l):
                 head = tuple((h // q**i) % q for i in range(l))
-                self.elements.append(HayesClass(r, head))
+                self.elements.append(HayesClass(int(r), head))
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.identity = class_of(Poly.one(ctx), l, Q)
 
@@ -241,37 +251,77 @@ class HayesGroup:
         if q**n > budget:
             raise BudgetExceeded(q**n, budget, "A_n class sweep")
         sieve = _sieve.get_sieve(ctx, max(n, 1))
-        count = np.zeros(self.order, dtype=np.int64)
-        mu_w = np.zeros(self.order, dtype=np.int64)
-        mg_w = np.zeros(self.order, dtype=np.int64)
         if self.m == 0:
-            residues = np.zeros(q**n, dtype=np.int64)
+            rank = np.zeros(q**n, dtype=np.int64)
         else:
-            residues = residues_mod(ctx, self.Q, n)
-        res_to_ok = self._residue_index_table()
-        lo = q**n
-        for j in range(q**n):
-            ridx = res_to_ok[residues[j]]
-            if ridx < 0:
-                continue
-            code = lo + j
-            head = tuple((j // q ** (n - i)) % q if n - i >= 0 else 0 for i in range(1, self.l + 1))
-            idx = self.index[HayesClass(int(ridx), head)]
-            count[idx] += 1
-            mu_w[idx] += int(sieve.mu[code])
-            mg_w[idx] += int(sieve.mangoldt[code])
+            rank = self._residue_rank[residues_mod(ctx, self.Q, n)]
+        ok = rank >= 0
+        # a_i is tail digit n - i of f = t^n + a_1 t^(n-1) + ..., or 0 past deg f
+        tails = _sieve.monic_tails(ctx, n)
+        idx = rank * q**self.l
+        for i in range(1, min(self.l, n) + 1):
+            idx += q ** (i - 1) * tails[:, n - i].astype(np.int64)
+        idx = idx[ok]
+        # the float64 bincounts add integers far below 2^53, so they are exact
+        count = np.bincount(idx, minlength=self.order).astype(np.int64)
+        mu_w = np.bincount(idx, sieve.degree_slice(sieve.mu, n)[ok], self.order).astype(np.int64)
+        mg_w = np.bincount(idx, sieve.degree_slice(sieve.mangoldt, n)[ok], self.order).astype(np.int64)
         self._weights_cache[n] = (count, mu_w, mg_w)
         return self._weights_cache[n]
 
-    def _residue_index_table(self):
-        # residue code -> residue code if invertible else -1
-        if not hasattr(self, "_res_tab"):
-            size = max(self.ctx.q**self.m, 1)
-            tab = np.full(size, -1, dtype=np.int64)
-            for e in self.elements:
-                tab[e.residue_code] = e.residue_code
-            self._res_tab = tab
-        return self._res_tab
+    def _character_exponents(self, start: int, stop: int) -> np.ndarray:
+        """(stop - start, order) omega_L exponents of the characters with ids
+        start..stop-1 on every element."""
+        L, cid = self.exponent_lcm, np.arange(start, stop, dtype=np.int64)
+        scale = np.zeros((stop - start, len(self.invariant_factors)), dtype=np.int64)
+        for j, d in enumerate(self.invariant_factors):  # the odometer of characters()
+            scale[:, j] = cid % d * (L // d)
+            cid //= d
+        return scale @ self.dlog_y.T % L
+
+    def exponent_histograms(self, n: int, budget: int = 1_200_000):
+        """Yield (first char id, hist) blocks over all characters, where
+        hist[c, w, e] is the total of weight w (0 count, 1 mu, 2 Lambda) of
+        class_weights(n) over the elements on which the character takes the
+        value omega_L^e.  Exact int64; characters come in blocks of at most
+        CHAR_CHUNK_ENTRIES exponents."""
+        weights = np.stack(self.class_weights(n, budget=budget)).astype(np.float64)
+        L, order = self.exponent_lcm, self.order
+        step = max(1, CHAR_CHUNK_ENTRIES // order)
+        for start in range(0, order, step):
+            stop = min(start + step, order)
+            k = stop - start
+            flat = (self._character_exponents(start, stop)
+                    + L * np.arange(k, dtype=np.int64)[:, None]).ravel()
+            hist = np.empty((k, 3, L), dtype=np.int64)
+            for w in range(3):  # exact, as in class_weights
+                hist[:, w] = np.bincount(flat, np.tile(weights[w], k), k * L).reshape(k, L)
+            yield start, hist
+
+    def char_sums(self, n: int, budget: int = 1_200_000) -> np.ndarray:
+        """(order, 3) complex sums over A_n of lambda(f), mu(f) lambda(f) and
+        Lambda(f) lambda(f), one row per character id; cached per n."""
+        if n not in self._sums_cache:
+            sums = np.empty((self.order, 3), dtype=complex)
+            for start, hist in self.exponent_histograms(n, budget=budget):
+                for c, rows in enumerate(hist, start):
+                    # one 1-D dot per histogram, so that no float depends on
+                    # the blocking or on how many characters share a call
+                    for w in range(3):
+                        sums[c, w] = rows[w] @ self._unit_roots
+            self._sums_cache[n] = sums
+        return self._sums_cache[n]
+
+    def char_sum_table(self, n_max: int, budget: int = 1_200_000) -> list:
+        """[char_sums(n) for n = 0..n_max]."""
+        missing = [n for n in range(n_max + 1) if n not in self._sums_cache]
+        # weights of the top degree first, so that the sieve grows once and
+        # before any table is kept; a degree over budget raises below, at the
+        # lowest such n
+        for n in reversed(missing):
+            if self.ctx.q**n <= budget:
+                self.class_weights(n, budget=budget)
+        return [self.char_sums(n, budget=budget) for n in range(n_max + 1)]
 
     def describe(self) -> str:
         return f"l={self.l},Q={self.Q.format()},q={self.ctx.q}"
@@ -368,18 +418,6 @@ class HayesCharacter:
             % L
         )
 
-    def exponents_all(self) -> np.ndarray:
-        """omega_L exponent of the character on every group element."""
-        g = self.group
-        L = g.exponent_lcm
-        if not g.invariant_factors:
-            return np.zeros(g.order, dtype=np.int64)
-        scale = np.array(
-            [k * (L // d) for k, d in zip(self.exps, g.invariant_factors)],
-            dtype=np.int64,
-        )
-        return (g.dlog_y @ scale) % L
-
     def eval_exponent(self, f: Poly):
         """omega_L exponent of lambda(f), or None when lambda(f) = 0."""
         idx = self.group.class_index(f)
@@ -391,14 +429,6 @@ class HayesCharacter:
             return 0j
         L = self.group.exponent_lcm
         return np.exp(2j * np.pi * e / L)
-
-
-def _weighted_char_sum(char: HayesCharacter, weights: np.ndarray) -> complex:
-    g = char.group
-    L = g.exponent_lcm
-    hist = np.zeros(L, dtype=np.int64)
-    np.add.at(hist, char.exponents_all(), weights)
-    return complex(hist @ np.exp(2j * np.pi * np.arange(L) / L))
 
 
 @dataclass(frozen=True)
@@ -423,10 +453,7 @@ def l_polynomial(
         raise ValueError("l_polynomial is for non-principal characters")
     g = char.group
     bound = g.l + g.m
-    coeffs = []
-    for n in range(n_max + 1):
-        count, _, _ = g.class_weights(n, budget=budget)
-        coeffs.append(_weighted_char_sum(char, count))
+    coeffs = [complex(sums[char.char_id, 0]) for sums in g.char_sum_table(n_max, budget=budget)]
     for n in range(bound, n_max + 1):
         if abs(coeffs[n]) >= tol:
             raise IdentityCheckError(
@@ -438,9 +465,12 @@ def l_polynomial(
         if abs(coeffs[k]) > tol:
             deg = k
             break
-    roots = ()
-    if deg:
-        roots = tuple(np.roots(np.array(coeffs[: deg + 1][::-1], dtype=complex)))
+    # the coefficients do not depend on n_max, so the roots are cached per
+    # (character, degree)
+    key = (char.char_id, deg)
+    if key not in g._roots_cache:
+        g._roots_cache[key] = np.roots(np.array(coeffs[: deg + 1][::-1], dtype=complex))
+    roots = tuple(g._roots_cache[key])
     return LPolynomial(
         char_id=char.char_id,
         coeffs=tuple(coeffs),
@@ -497,8 +527,7 @@ def euler_inverse_check(
         inv.append(-acc)
     rows = []
     for n in range(n_max + 1):
-        _, mu_w, _ = g.class_weights(n, budget=budget)
-        s = _weighted_char_sum(char, mu_w)
+        s = complex(g.char_sums(n, budget=budget)[char.char_id, 1])
         resid = abs(s - inv[n])
         if resid >= tol:
             raise IdentityCheckError(
@@ -581,8 +610,7 @@ def log_deriv_check(
     alphas = lp.inverse_roots()
     rows = []
     for l in range(1, l_max + 1):
-        _, _, mg_w = g.class_weights(l, budget=budget)
-        lhs = _weighted_char_sum(char, mg_w)
+        lhs = complex(g.char_sums(l, budget=budget)[char.char_id, 2])
         rhs = -sum(a**l for a in alphas) if alphas else 0j
         resid = abs(lhs - rhs)
         if resid >= tol:
@@ -603,9 +631,8 @@ def char_sum_exponent_report(groups, d_max: int, budget: int = 1_200_000):
         for char in g.characters():
             if char.is_principal:
                 continue
-            for d in range(d_max + 1):
-                _, mu_w, _ = g.class_weights(d, budget=budget)
-                s = abs(_weighted_char_sum(char, mu_w))
+            for d, sums in enumerate(g.char_sum_table(d_max, budget=budget)):
+                s = abs(complex(sums[char.char_id, 1]))
                 expo = float(np.log(s) / (d * logq)) if s > 0 and d > 0 else None
                 rows.append((g.describe(), char.char_id, d, s, expo))
     return rows

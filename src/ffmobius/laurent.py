@@ -92,9 +92,8 @@ class LaurentSeries:
         return 0.0 if d is None else float(self.ctx.q) ** d
 
     def in_torus(self) -> bool:
-        return all(
-            self.coeffs[self.top - d] == 0 for d in range(0, self.top + 1)
-        )
+        """No stored coefficient of degree >= 0 is nonzero."""
+        return not any(self.coeffs[: max(self.top + 1, 0)])
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries) or self.ctx is not other.ctx:

@@ -80,11 +80,13 @@ def monic_tails(ctx: FieldCtx, m: int) -> np.ndarray:
 
 
 def codes_to_digits(ctx: FieldCtx, codes: np.ndarray, width: int) -> np.ndarray:
+    """(len(codes), width) int16 matrix of the low base-q digits of codes."""
     q = ctx.q
     codes = np.asarray(codes, dtype=np.int64)
-    return np.stack([(codes // q**i) % q for i in range(width)], axis=1).astype(
-        np.int16
-    )
+    digits = np.empty((len(codes), width), dtype=np.int16)
+    for i in range(width):  # one column at a time keeps int64 temporaries small
+        digits[:, i] = codes // q**i % q
+    return digits
 
 
 def digits_to_codes(ctx: FieldCtx, digits: np.ndarray) -> np.ndarray:

@@ -184,3 +184,22 @@ def test_series_flag_without_value_exits_2():
     res = run_cli(["linear-corr", "--field", "3", "--n", "4", "--alpha", "--n", "5"])
     assert res.returncode == 2
     assert "--alpha" in res.stderr
+
+
+def test_rank_stats_k_above_n_names_the_flag():
+    res = run_cli(["rank-stats", "--field", "2", "--n", "3", "--k", "5"])
+    assert res.returncode == 2
+    assert "--k 5" in res.stderr and "--n" in res.stderr
+    assert "negative dimensions" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["linear-corr", "--field", "2", "--n", "3", "--alpha", "5:1"],
+    ["hankel-corr", "--field", "3", "--n", "2", "--alpha", "-1:1,1,1,1", "--beta", "0:1,1,1"],
+], ids=["linear-alpha", "hankel-beta"])
+def test_series_outside_torus_names_the_flag(args):
+    res = run_cli(args)
+    flag = args[-2]
+    assert res.returncode == 2
+    assert f"{flag} {args[-1]} is not in the torus" in res.stderr
+    assert "precision" not in res.stderr

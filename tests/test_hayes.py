@@ -1,7 +1,14 @@
+import hashlib
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from ffmobius import Poly, get_field
+from ffmobius import hayes
+from ffmobius import sieve as _sieve
 from ffmobius.errors import BudgetExceeded, IdentityCheckError
 from ffmobius.hayes import (
     HayesClass,
@@ -310,3 +317,116 @@ def test_degree_bound_across_sweep(F2, F3):
                             continue
                         rh_check(char, n_max=l + int(Q.deg) + 2)
                         break  # one char per group keeps this test quick
+
+
+# -- the vectorised class index and the character-sum table -----------------------
+
+IRREDUCIBLE_QUADRATIC = {(2, 1): "1,1,1", (3, 1): "1,0,1", (2, 2): "2,1,1"}
+
+
+@pytest.mark.parametrize("ps", sorted(IRREDUCIBLE_QUADRATIC), ids=lambda ps: "q={}^{}".format(*ps))
+def test_class_weights_match_poly_oracle(ps):
+    # class by class_index on Poly objects; mu and Lambda read from the sieve
+    ctx = get_field(*ps)
+    q = ctx.q
+    irr = P(ctx, IRREDUCIBLE_QUADRATIC[ps])
+    assert euler_phi(irr) == q**2 - 1
+    for Q in (Poly.one(ctx), Poly.t(ctx), P(ctx, "0,0,1"), irr):
+        for l in (0, 1, 2):
+            g = build_group(ctx, l, Q)
+            for n in range(l + int(Q.deg) + 3):
+                sv = _sieve.get_sieve(ctx, max(n, 1))
+                want = np.zeros((3, g.order), dtype=np.int64)
+                for code in range(q**n, 2 * q**n):
+                    idx = g.class_index(Poly.from_code(ctx, code))
+                    if idx is not None:
+                        want[:, idx] += (1, sv.mu[code], sv.mangoldt[code])
+                got = g.class_weights(n)
+                assert all(w.dtype == np.int64 for w in got)
+                assert np.array_equal(np.stack(got), want), (ps, Q.format(), l, n)
+
+
+def brute_histograms(g, n):
+    weights = g.class_weights(n)
+    out = np.zeros((g.order, 3, g.exponent_lcm), dtype=np.int64)
+    for char in g.characters():
+        for idx in range(g.order):
+            e = char.exponent_on_index(idx)
+            for w in range(3):
+                out[char.char_id, w, e] += weights[w][idx]
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 5], ids=["default", "chunk=5"])
+def test_exponent_histograms_match_bruteforce(chunk, monkeypatch, F2, F3, F4):
+    if chunk is not None:
+        monkeypatch.setattr(hayes, "CHAR_CHUNK_ENTRIES", chunk)
+    for ctx, l, Qtext in ((F2, 2, "1,1"), (F3, 1, "0,1,1"), (F3, 0, "2,1,1"), (F4, 1, "0,1"), (F2, 0, "1")):
+        g = build_group(ctx, l, P(ctx, Qtext))
+        for n in range(l + g.m + 2):
+            blocks = list(g.exponent_histograms(n))
+            assert [start for start, _ in blocks] == sorted({start for start, _ in blocks})
+            got = np.concatenate([hist for _, hist in blocks])
+            assert got.dtype == np.int64
+            assert np.array_equal(got, brute_histograms(g, n)), (ctx.q, l, Qtext, n)
+
+
+# First 16 hex digits of the sha256 of the repr of every non-principal
+# character's (l_polynomial, rh_check, euler_inverse_check, log_deriv_check)
+# outputs plus char_sum_exponent_report, recorded from the implementation
+# that histogrammed each character and weight separately.  The table must
+# reproduce every float bit for bit.
+HAYES_DIGESTS = {
+    (2, 1, 1, "0,1"): "10b789802f85217b",
+    (2, 1, 0, "1,1,0,1"): "e8deee09e263b363",
+    (3, 1, 1, "1,1"): "9faedbf8224ae6cd",
+    (3, 1, 0, "2,1,1"): "167c111cbd0f7fac",
+    (2, 2, 1, "0,1"): "a353dd66491b2ddc",
+    (3, 1, 2, "0,1"): "775413ab913e9e1b",
+    (2, 1, 2, "1,1,1"): "abf29c6568e7ea42",
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["default", "chunk=7"])
+@pytest.mark.parametrize("key", sorted(HAYES_DIGESTS), ids=lambda k: "q={}^{},l={},Q={}".format(*k))
+def test_hayes_outputs_match_frozen_digests(key, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(hayes, "CHAR_CHUNK_ENTRIES", chunk)
+    p, s, l, Qtext = key
+    ctx = get_field(p, s)
+    g = build_group(ctx, l, P(ctx, Qtext))
+    out = []
+    for char in g.characters():
+        if char.is_principal:
+            continue
+        out.append((l_polynomial(char, l + g.m + 2), rh_check(char),
+                    euler_inverse_check(char, l + g.m + 2), log_deriv_check(char, l + g.m + 1)))
+    out.append(char_sum_exponent_report([g], l + g.m + 2))
+    assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == HAYES_DIGESTS[key]
+
+
+def test_roots_computed_once_per_character(F3, monkeypatch):
+    g = build_group(F3, 1, P(F3, "1,1"))
+    calls = []
+    real_roots = np.roots
+    monkeypatch.setattr(hayes.np, "roots", lambda c: calls.append(1) or real_roots(c))
+    chars = [c for c in g.characters() if not c.is_principal]
+    for char in chars:
+        l_polynomial(char, 4)
+        rh_check(char)
+        euler_inverse_check(char, 4)
+        log_deriv_check(char, 3)
+    assert len(calls) == len(chars)
+
+
+def test_hayes_survey_script_smoke(tmp_path):
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "hayes_survey.py"
+    res = subprocess.run(
+        [sys.executable, str(script), "--field", "2", "--lmax", "1", "--qdegmax", "2",
+         "--dmax", "4", "--outdir", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    for name in ("hayes-coeffs-q2.csv", "hayes-roots-q2.csv", "hayes-charsums-q2.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert len(lines) > 1, name  # a header and at least one row

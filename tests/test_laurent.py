@@ -34,6 +34,14 @@ def test_norm_and_torus(F2):
     assert not series(F2, "1:1,0,1,1").in_torus()
 
 
+def test_torus_with_short_storage(F2):
+    # fewer stored coefficients than degrees top..0, or a top below -1
+    assert not series(F2, "5:1").in_torus()
+    assert not series(F2, "2:0,1").in_torus()
+    assert series(F2, "2:0").in_torus()  # every stored one is zero
+    assert series(F2, "-2:1,1").in_torus()
+
+
 def test_mul_poly_examples(F2):
     # t^-1 * t = 1
     one = series(F2, "-1:1,0,0").mul_poly(Poly.t(F2))

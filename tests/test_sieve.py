@@ -201,3 +201,21 @@ def test_grown_sieve_matches_fresh(p, monkeypatch):
     monkeypatch.setattr(_sieve, "_SIEVES", {})
     fresh = _sieve.MonicSieve(ctx, 8)
     assert sieve_digests(grown) == sieve_digests(fresh)
+
+
+@pytest.mark.parametrize("ps", [(2, 1), (3, 1), (2, 2)], ids=lambda ps: "q={}^{}".format(*ps))
+@pytest.mark.parametrize("width", [0, 1, 5])
+def test_codes_to_digits_matches_digit_formula(ps, width):
+    # row r holds the low base-q digits of codes[r], constant term first
+    ctx = get_field(*ps)
+    q = ctx.q
+    codes = np.array([0, 1, q - 1, q, q**3 + 2, q**6 - 1, 12345], dtype=np.int64)
+    want = np.array(
+        [[c // q**i % q for i in range(width)] for c in codes.tolist()], dtype=np.int16
+    ).reshape(len(codes), width)
+    got = _sieve.codes_to_digits(ctx, codes, width)
+    assert got.dtype == np.int16 and got.shape == (len(codes), width)
+    assert np.array_equal(got, want)
+    if width:  # the stacked formula it replaces
+        old = np.stack([(codes // q**i) % q for i in range(width)], axis=1).astype(np.int16)
+        assert np.array_equal(got, old)
