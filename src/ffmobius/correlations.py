@@ -6,6 +6,17 @@ enumeration chunks by plain vector addition; the complex value is a single
 dot product taken at the end.  Phases know how to evaluate themselves on a
 block of coefficient vectors and how to compose with a dilation w -> d w,
 which is what the Vaughan type I / type II decomposition needs.
+
+All three phase kinds share one kernel.  Written in the N = s n base-p
+digits of a code, the exponent of e(alpha f), e(alpha f^2 + beta f) and
+chi_r(Q(f)) is a quadratic form over F_p, since F_q multiplication is
+F_p-bilinear and the trace is F_p-linear.  `Phase.form` compiles a phase
+once per number of coordinates into that form (`PhaseForm`), by evaluating
+the phase's own `exponents` at O(N^2) probe codes and checking the result
+on further codes; `phase_hist` then evaluates whole code ranges with one
+matrix product per chunk and takes the histogram with a bincount.  The
+per-phase `exponents` methods remain the reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -53,7 +64,19 @@ CHUNK = 1 << 15
 # -- phases --------------------------------------------------------------------
 
 
-class LinearPhase:
+class Phase:
+    """A phase e(E(f)) whose omega_p exponent E is, on the base-p digits of
+    the code of f, a quadratic form over F_p.  Subclasses give `exponents`;
+    `form` compiles it once per number of coordinates."""
+
+    def form(self, ncoords: int) -> "PhaseForm":
+        forms = self.__dict__.setdefault("_forms", {})
+        if ncoords not in forms:
+            forms[ncoords] = PhaseForm.compile(self, ncoords)
+        return forms[ncoords]
+
+
+class LinearPhase(Phase):
     """Phi(f) = e(alpha f)."""
 
     def __init__(self, alpha: LaurentSeries):
@@ -84,7 +107,7 @@ class LinearPhase:
         return f"linear:{self.alpha.format()}"
 
 
-class QuadraticPhase:
+class QuadraticPhase(Phase):
     """Phi(f) = chi_r(Q(f)) for a quadratic polynomial in the coefficients."""
 
     def __init__(self, qp: QuadPhase):
@@ -116,7 +139,7 @@ class QuadraticPhase:
         return f"quadratic:{self.qp.describe()}"
 
 
-class HankelPhase:
+class HankelPhase(Phase):
     """Phi(f) = e(alpha f^2 + beta f), evaluated by squaring f.
 
     beta = None means an exactly zero linear part."""
@@ -138,29 +161,18 @@ class HankelPhase:
             )
 
     def exponents(self, ncoords: int, codes: np.ndarray) -> np.ndarray:
-        ctx, q, p = self.ctx, self.ctx.q, self.ctx.p
+        ctx, p = self.ctx, self.ctx.p
         self.require_prec(ncoords)
         X = _sieve.codes_to_digits(ctx, codes, ncoords)
         wid = 2 * ncoords - 1
         # digits of f^2 by convolution of f with itself
-        if ctx.s == 1:
-            S = np.zeros((len(codes), wid), dtype=np.int64)
-            for i in range(ncoords):
-                xi = X[:, i].astype(np.int64)
-                S[:, 2 * i] += xi * xi
-                for j in range(i + 1, ncoords):
-                    S[:, i + j] += 2 * xi * X[:, j]
-            S %= p
-        else:
-            S = np.zeros((len(codes), wid), dtype=np.int16)
-            for i in range(ncoords):
-                prod = ctx.MUL[X[:, i], X[:, i]]
-                S[:, 2 * i] = ctx.ADD[S[:, 2 * i], prod]
-                if p != 2:
-                    for j in range(i + 1, ncoords):
-                        cross = ctx.MUL[X[:, i], X[:, j]]
-                        two = ctx.ADD[cross, cross]
-                        S[:, i + j] = ctx.ADD[S[:, i + j], two]
+        S = np.zeros((len(codes), wid), dtype=np.int16)
+        for i in range(ncoords):
+            S[:, 2 * i] = ctx.ADD[S[:, 2 * i], ctx.MUL[X[:, i], X[:, i]]]
+            if p != 2:  # the cross terms 2 f_i f_j, j > i, land on i + j
+                cross = ctx.MUL[X[:, i : i + 1], X[:, i + 1 :]]
+                span = slice(2 * i + 1, i + ncoords)
+                S[:, span] = ctx.ADD[S[:, span], ctx.ADD[cross, cross]]
         acc = np.zeros(len(codes), dtype=np.int64)
         for k in range(wid):
             a = self.alpha.coefficient(-1 - k)
@@ -183,7 +195,121 @@ class HankelPhase:
         return f"hankel:{self.alpha.format()}|{bfmt}"
 
 
-# -- histogram kernel -----------------------------------------------------------
+# -- compiled forms and the histogram kernel ---------------------------------------
+
+
+_PROBES: dict[tuple, tuple] = {}
+
+
+def _digit_rows(codes: np.ndarray, units: np.ndarray, p: int) -> np.ndarray:
+    """Float64 base-p digit rows of integer-valued codes below 2^53; units
+    holds p^0, ..., p^N.  Exact: IEEE division rounds correctly, so the
+    floors are the integer quotients."""
+    F = np.floor(codes[:, None] / units)
+    return F[:, :-1] - p * F[:, 1:]
+
+
+def _probes(p: int, N: int) -> tuple:
+    """What a compile on N digits over F_p evaluates: the codes 0, p^k, and
+    p^k + p^l for all (k, l) row-major (the diagonal is 2 p^k), followed by
+    the check codes (the repunits v (p^N - 1)/(p - 1) and 16 hashed codes);
+    the digit rows of the check codes; the strict upper triangle as a 0/1
+    matrix; the powers p^0..p^N as floats; and k mod p for every k up to
+    the largest unreduced exponent PhaseForm.hist can produce, plus p."""
+    key = (p, N)
+    if key not in _PROBES:
+        P = p**N
+        units = p ** np.arange(N, dtype=np.int64)
+        check = [v * ((P - 1) // (p - 1)) for v in range(1, p)]
+        check += [(k * 0x9E3779B97F4A7C15 + 0x632BE5AB) % P for k in range(16)]
+        codes = np.concatenate(([0], units, (units[:, None] + units).ravel(), check))
+        funits = float(p) ** np.arange(N + 1)
+        check_rows = _digit_rows(np.array(check, dtype=np.float64), funits, p)
+        upper = np.triu(np.ones((N, N)), 1)
+        fold = np.arange(N * (p - 1) ** 2 + 3 * p) % p
+        _PROBES[key] = (codes.astype(np.int64), check_rows, upper, funits, fold)
+    return _PROBES[key]
+
+
+class PhaseForm:
+    """The exponent of a phase on ncoords coefficients as an F_p quadratic
+    form E(x) = x^T A x + b.x + c, A upper triangular, in the N = s ncoords
+    base-p digits x of a code (digits of p^N and above are ignored, as the
+    phases' own exponents ignore them).  A, b and c hold residues in [0, p)
+    as float64, so the kernel's matrix products are exact (see phase_hist)."""
+
+    def __init__(self, p, A, b, c, units, fold):
+        self.p, self.N = p, len(b)
+        self.A, self.b, self.c = A, b, c
+        self.units = units  # p^0, ..., p^N as floats
+        self.fold = fold  # fold[k] = (k + c) mod p
+
+    @classmethod
+    def compile(cls, phase: Phase, ncoords: int) -> "PhaseForm":
+        """Polarisation: E at the codes 0, p^k and p^k + p^l gives c, then
+        b and diag A (from 2 p^k, odd p), then the cross terms.  The form is
+        then checked against phase.exponents on codes whose digits all
+        equal v, for each v in 1..p-1, and on a fixed hashed sample; a
+        mismatch raises IdentityCheckError."""
+        p = phase.ctx.p
+        N = phase.ctx.s * ncoords
+        codes, check_rows, upper, units, fold = _probes(p, N)
+        E = np.asarray(phase.exponents(ncoords, codes), dtype=np.float64)
+        c, e1 = float(E[0]), E[1 : N + 1]
+        # E(e_k + e_l) - E(e_k) - E(e_l) + c: A_kl for k < l, 2 A_kk on the diagonal
+        X = E[N + 1 : N + 1 + N * N].reshape(N, N) - e1[:, None] - e1 + c
+        A = X * upper % p
+        if p == 2:  # x^2 = x on F_2: the diagonal folds into b
+            b = (e1 - c) % p
+        else:
+            diag = np.diagonal(X) * ((p + 1) // 2) % p
+            A.flat[:: N + 1] = diag
+            b = (e1 - c - diag) % p
+        form = cls(p, A, b, c, units, fold[int(c) :])
+        got = (form._quad(check_rows)[1] + c) % p
+        want = E[N + 1 + N * N :]
+        if (got != want).any():
+            j = int(np.nonzero(got != want)[0][0])
+            raise IdentityCheckError(
+                "phase exponent is not a quadratic form in the base-p digits",
+                counterexample=f"{phase.descriptor()} on {ncoords} coordinates, "
+                f"code {int(codes[N + 1 + N * N + j])}: form {int(got[j])}, "
+                f"exponents {int(want[j])}",
+            )
+        return form
+
+    def _quad(self, Y: np.ndarray):
+        """A y and y^T A y + b.y for each digit row y of Y."""
+        G = Y @ self.A.T
+        return G, np.einsum("ij,ij->i", G, Y) + Y @ self.b
+
+    def hist(self, lo: int, hi: int, weights: np.ndarray | None) -> np.ndarray:
+        """Exponent histogram over the codes [lo, hi), weighted by
+        weights[lo:hi] when given, as float64 holding exact integers."""
+        p, N = self.p, self.N
+        K = 0  # low digits: p^K is about sqrt(hi - lo)
+        while K < N and p ** (2 * K) < hi - lo:
+            K += 1
+        nL = p**K
+        h0, h1 = lo // nL, (hi - 1) // nL + 1
+        # low codes 0..nL-1 carry only digits < K, high codes h p^K only
+        # digits >= K, so A y of a high row, cut to its first K entries,
+        # is C y_H; the constant is added when the bins are folded
+        codes = np.concatenate(
+            (np.arange(nL, dtype=np.float64), np.arange(h0 * nL, h1 * nL, nL, dtype=np.float64))
+        )
+        Y = _digit_rows(codes, self.units, p)
+        G, v = self._quad(Y)
+        R = np.ones((len(codes), K + 2))
+        R[:nL, :K] = Y[:nL, :K]
+        R[nL:, :K] = G[nL:, :K]
+        R[:nL, K], R[nL:, K + 1] = v[:nL], v[nL:]
+        R -= p * np.floor(R / p)  # mod p, exact on these integers
+        E = R[nL:] @ R[:nL].T  # E - c, unreduced
+        exps = E.ravel()[lo - h0 * nL : hi - h0 * nL].astype(np.intp)
+        w = None if weights is None else weights[lo:hi]
+        h = np.bincount(exps, weights=w)
+        return np.bincount(self.fold[: len(h)], weights=h, minlength=p)
 
 
 def phase_hist(
@@ -197,30 +323,33 @@ def phase_hist(
 ) -> np.ndarray:
     """Signed exponent histogram sum_{code in [lo, hi)} w(code) at the
     phase exponent of code.  weights is indexed by code; None means
-    weight 1.  Deterministic for any worker count."""
-    p = ctx.p
+    weight 1.  Deterministic for any worker count.
 
-    def one_chunk(a: int, b: int) -> np.ndarray:
-        codes = np.arange(a, b, dtype=np.int64)
-        exps = phase.exponents(ncoords, codes)
-        h = np.zeros(p, dtype=np.int64)
-        if weights is None:
-            np.add.at(h, exps, 1)
-        else:
-            w = weights[a:b]
-            np.add.at(h, exps, w.astype(np.int64))
-        return h
+    The phase is compiled once per ncoords into its F_p quadratic form
+    (PhaseForm).  Each chunk of at most CHUNK codes is split at the K-th
+    base-p digit, p^K about sqrt(chunk): code = x_L + p^K x_H, and
 
+        E - c = (x_L^T A_LL x_L + b_L.x_L) + (x_H^T A_HH x_H + b_H.x_H)
+                + x_L . (C x_H),   C = A_LH,
+
+    so E - c over the whole chunk, high codes by low codes, is one float64
+    matrix product of the high rows [C x_H mod p | 1 | E_H mod p] with the
+    low rows [x_L | E_L mod p | 1].  Every entry of the product is an
+    integer at most K (p-1)^2 + 2(p-1), far below 2^53, so it is exact; it
+    is not reduced, its bincount is folded mod p with the shift by c.
+    Weighted bincounts add float64 partial sums of magnitude at most
+    hi - lo < 2^53, so they are exact too."""
+    form = phase.form(ncoords)
     spans = [(a, min(a + CHUNK, hi)) for a in range(lo, hi, CHUNK)]
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hists = list(pool.map(lambda ab: one_chunk(*ab), spans))
+            hists = list(pool.map(lambda ab: form.hist(*ab, weights), spans))
     else:
-        hists = [one_chunk(a, b) for a, b in spans]
-    out = np.zeros(p, dtype=np.int64)
+        hists = [form.hist(a, b, weights) for a, b in spans]
+    out = np.zeros(ctx.p)
     for h in hists:
         out += h
-    return out
+    return np.rint(out).astype(np.int64)
 
 
 def hist_to_complex(ctx: FieldCtx, hist: np.ndarray) -> complex:
@@ -323,8 +452,6 @@ def hankel_corr(
     beta: LaurentSeries | None = None,
     budget: int = 1_200_000,
     workers: int = 1,
-    cross_check: bool = True,
-    tol: float = 1e-9,
 ) -> CorrelationReport:
     """sum of mu(f) e(alpha f^2 + beta f) over G_n, by explicit squaring.
 
@@ -339,7 +466,7 @@ def hankel_corr(
     mu = _sieve.mobius_over_g(ctx, n)
     hist = phase_hist(ctx, phase, n, 0, q**n, mu, workers)
     report = _report(ctx, n, "hankel", phase, hist)
-    if cross_check and ctx.p != 2:
+    if ctx.p != 2:
         M = hankel_matrix(alpha, n)
         b = np.array(
             [beta.coefficient(-1 - i) if beta is not None else 0 for i in range(n)],
@@ -347,11 +474,11 @@ def hankel_corr(
         )
         qp = QuadPhase(ctx, M, b, 0, 1)
         hist2 = phase_hist(ctx, QuadraticPhase(qp), n, 0, q**n, mu, workers)
-        s1, s2 = hist_to_complex(ctx, hist), hist_to_complex(ctx, hist2)
-        if not np.array_equal(hist, hist2) and abs(s1 - s2) > tol:
+        if not np.array_equal(hist, hist2):
             raise IdentityCheckError(
                 "hankel and quadratic routes disagree",
-                counterexample=f"n={n}, alpha={alpha.format()}, |diff|={abs(s1 - s2):.3g}",
+                counterexample=f"n={n}, alpha={alpha.format()}, "
+                f"hankel {hist.tolist()}, quadratic {hist2.tolist()}",
             )
     return report
 
@@ -552,6 +679,20 @@ class VaughanReport:
     coefficient_bound_ok: bool
 
 
+def _degree_runs(q: int, first: int, m: int, shift: int, pass_degrees):
+    """The nonzero codes of G_m of degrees first..m-1 as maximal code ranges
+    [lo, hi) of consecutive degrees wd along which shift + wd is either
+    always or never in pass_degrees; yields (lo, hi, passes)."""
+    wd = first
+    while wd < m:
+        passes = shift + wd in pass_degrees
+        end = wd + 1
+        while end < m and (shift + end in pass_degrees) == passes:
+            end += 1
+        yield (q**wd if wd else 1), q**end, passes
+        wd = end
+
+
 def vaughan_decompose(
     ctx: FieldCtx,
     n: int,
@@ -584,30 +725,16 @@ def vaughan_decompose(
     sieve = _sieve.get_sieve(ctx, n)
     rhs = vaughan_rhs_arrays(ctx, n, u, v)
 
-    # a_d table from the small double loop, with the tau bound checked
-    a_d: dict[int, int] = {}
-    for da in range(u + 1):
-        for ja in range(q**da):
-            ac = q**da + ja
-            ma = int(sieve.mu[ac])
-            if not ma:
-                continue
-            for db in range(v + 1):
-                for jb in range(q**db):
-                    bc = q**db + jb
-                    mb = int(sieve.mu[bc])
-                    if not mb:
-                        continue
-                    dc = (
-                        Poly.from_code(ctx, ac) * Poly.from_code(ctx, bc)
-                    ).code
-                    a_d[dc] = a_d.get(dc, 0) + ma * mb
-    for dc, val in a_d.items():
-        if abs(val) > int(sieve.tau[dc]):
-            raise IdentityCheckError(
-                "type I coefficient exceeds tau",
-                counterexample=f"d={Poly.from_code(ctx, dc)!r}, a_d={val}, tau={int(sieve.tau[dc])}",
-            )
+    # type I coefficients a_d = (mu_u * mu_v)(d), nonzero only for deg d <= u + v
+    a_d = rhs["w_uv"]
+    tau = sieve.tau[: len(a_d)]
+    over = np.nonzero(np.abs(a_d) > tau)[0]
+    if len(over):
+        dc = int(over[0])
+        raise IdentityCheckError(
+            "type I coefficient exceeds tau",
+            counterexample=f"d={Poly.from_code(ctx, dc)!r}, a_d={int(a_d[dc])}, tau={int(tau[dc])}",
+        )
     b_arr = rhs["r_u"]
     for d in range(n):
         lo, hi = q**d, 2 * q**d
@@ -621,26 +748,22 @@ def vaughan_decompose(
     p = ctx.p
     t1_full = np.zeros(p, dtype=np.int64)
     t1_restr = np.zeros(p, dtype=np.int64)
-    for dc in sorted(a_d):
-        coeff = a_d[dc]
-        if not coeff:
-            continue
-        d_poly = Poly.from_code(ctx, dc)
+    for dc in np.nonzero(a_d)[0]:
+        coeff = int(a_d[dc])
+        d_poly = Poly.from_code(ctx, int(dc))
         dd = int(d_poly.deg)
         m = n - dd
         phase_d = phase.compose_dilation(d_poly)
-        zero_hist = phase_hist(ctx, phase_d, m, 0, 1, None, workers)
-        t1_full += coeff * zero_hist
-        for wd in range(m):
-            lo, hi = (q**wd, q ** (wd + 1)) if wd else (1, q)
-            h = phase_hist(ctx, phase_d, m, lo, hi, None, workers)
-            t1_full += coeff * h
-            if dd + wd in pass_degrees:
-                t1_restr += coeff * h
         # w = 0 contributes Phi(0), outside every f-degree: full sum only
+        t1_full += coeff * phase_hist(ctx, phase_d, m, 0, 1, None, workers)
+        for lo, hi, passes in _degree_runs(q, 0, m, dd, pass_degrees):
+            h = coeff * phase_hist(ctx, phase_d, m, lo, hi, None, workers)
+            t1_full += h
+            if passes:
+                t1_restr += h
     t2_full = np.zeros(p, dtype=np.int64)
     t2_restr = np.zeros(p, dtype=np.int64)
-    for dd in range(n):
+    for dd in range(n - v - 1):  # higher d leave no w with v < deg w < n - deg d
         lo_d, hi_d = q**dd, 2 * q**dd
         nz = np.nonzero(b_arr[lo_d:hi_d])[0]
         for j in nz:
@@ -650,20 +773,18 @@ def vaughan_decompose(
             m = n - dd
             phase_d = phase.compose_dilation(d_poly)
             mu_m = _sieve.mobius_over_g(ctx, m)
-            for wd in range(v + 1, m):
-                lo, hi = (q**wd, q ** (wd + 1)) if wd else (1, q)
-                h = phase_hist(ctx, phase_d, m, lo, hi, mu_m, workers)
-                t2_full += coeff * h
-                if dd + wd in pass_degrees:
-                    t2_restr += coeff * h
+            for lo, hi, passes in _degree_runs(q, v + 1, m, dd, pass_degrees):
+                h = coeff * phase_hist(ctx, phase_d, m, lo, hi, mu_m, workers)
+                t2_full += h
+                if passes:
+                    t2_restr += h
     mu_n = _sieve.mobius_over_g(ctx, n)
     direct_full = np.zeros(p, dtype=np.int64)
     direct_restr = np.zeros(p, dtype=np.int64)
-    for wd in range(n):
-        lo, hi = (q**wd, q ** (wd + 1)) if wd else (1, q)
+    for lo, hi, passes in _degree_runs(q, 0, n, 0, pass_degrees):
         h = phase_hist(ctx, phase, n, lo, hi, mu_n, workers)
         direct_full += h
-        if wd in pass_degrees:
+        if passes:
             direct_restr += h
     t1c = hist_to_complex(ctx, t1_full)
     t2c = hist_to_complex(ctx, t2_full)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ffmobius import Poly, get_field, mobius
-from ffmobius.errors import CharacteristicError, PrecisionExceeded
+from ffmobius import correlations
+from ffmobius.errors import CharacteristicError, IdentityCheckError, PrecisionExceeded
 from ffmobius.hayes import build_group, class_of, l_polynomial
 from ffmobius.laurent import LaurentSeries, sample_torus
 from ffmobius.polys import enumerate_polys
@@ -10,6 +11,8 @@ from ffmobius.quadform import QuadPhase, hankel_matrix
 from ffmobius.correlations import (
     HankelPhase,
     LinearPhase,
+    Phase,
+    QuadraticPhase,
     exponent_sweep,
     hankel_corr,
     hist_to_complex,
@@ -97,20 +100,88 @@ def test_g_to_a_reduction_exact(F2, F3, F4):
         assert np.array_equal(hg, ha)
 
 
-def test_histogram_order_independence(F2):
-    # permuting enumeration order (chunk split) changes no output bit
-    alpha = sample_torus(F2, 3, 10)
-    phase = LinearPhase(alpha)
+def _kernel_phases(ctx, n, rng):
+    """A linear phase, Hankel phases with and without beta, and in odd
+    characteristic a quadratic phase, all on n coordinates."""
+    alpha = sample_torus(ctx, rng, 2 * n + 2)
+    beta = sample_torus(ctx, rng, n + 1)
+    phases = [LinearPhase(alpha), HankelPhase(alpha, beta), HankelPhase(alpha)]
+    if ctx.p != 2:
+        M = np.triu(rng.integers(0, ctx.q, size=(n, n)))
+        M = M + np.triu(M, 1).T
+        b = rng.integers(0, ctx.q, size=n)
+        phases.append(QuadraticPhase(QuadPhase(ctx, M, b, int(rng.integers(0, ctx.q)), 1)))
+    return phases
+
+
+def _bincount_reference(ctx, phase, n, lo, hi, weights):
+    exps = phase.exponents(n, np.arange(lo, hi, dtype=np.int64))
+    w = None if weights is None else weights[lo:hi].astype(np.int64)
+    return np.bincount(exps, weights=w, minlength=ctx.p).astype(np.int64)
+
+
+def test_histogram_order_independence(monkeypatch):
+    # every phase kind against a bincount over its own exponents, and no
+    # output bit depends on the range split, the chunking or the workers
     from ffmobius.sieve import mobius_over_g
 
-    mu = mobius_over_g(F2, 8)
-    whole = phase_hist(F2, phase, 8, 0, 256, mu)
-    parts = sum(
-        phase_hist(F2, phase, 8, lo, min(lo + 37, 256), mu) for lo in range(0, 256, 37)
-    )
-    assert np.array_equal(whole, parts)
-    threaded = phase_hist(F2, phase, 8, 0, 256, mu, workers=4)
-    assert np.array_equal(whole, threaded)
+    for p, s, n in ((2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 4), (2, 3, 3), (3, 2, 3)):
+        ctx = get_field(p, s)
+        rng = np.random.default_rng(100 * p + s)
+        top = ctx.q**n
+        mu = mobius_over_g(ctx, n)
+        cuts = [0, *sorted(rng.integers(0, top, size=3)), top]
+        ranges = [(a, a + 1) for a in rng.integers(0, top, size=3)]
+        ranges += [(int(a), int(b)) for a, b in zip(cuts, cuts[1:]) if a < b]
+        for phase in _kernel_phases(ctx, n, rng):
+            for weights in (None, mu):
+                whole = phase_hist(ctx, phase, n, 0, top, weights)
+                assert np.array_equal(whole, _bincount_reference(ctx, phase, n, 0, top, weights))
+                parts = sum(phase_hist(ctx, phase, n, lo, hi, weights) for lo, hi in ranges[3:])
+                assert np.array_equal(whole, parts)
+                for lo, hi in ranges:
+                    want = _bincount_reference(ctx, phase, n, lo, hi, weights)
+                    assert np.array_equal(phase_hist(ctx, phase, n, lo, hi, weights), want)
+                monkeypatch.setattr(correlations, "CHUNK", 37)
+                for workers in (1, 2):
+                    threaded = phase_hist(ctx, phase, n, 0, top, weights, workers)
+                    assert np.array_equal(whole, threaded)
+                    lo, hi = top // 3, top // 3 + 70  # two chunks of 37
+                    want = _bincount_reference(ctx, phase, n, lo, hi, weights)
+                    assert np.array_equal(phase_hist(ctx, phase, n, lo, hi, weights, workers), want)
+                monkeypatch.undo()
+
+
+def test_phase_compiled_once_per_ncoords(F3):
+    phase = LinearPhase(sample_torus(F3, 4, 8))
+    calls = []
+    exponents = phase.exponents
+    phase.exponents = lambda n, codes: calls.append(n) or exponents(n, codes)
+    for _ in range(3):
+        phase_hist(F3, phase, 5, 0, 3**5)
+        phase_hist(F3, phase, 5, 7, 8)
+    assert calls == [5]
+    phase_hist(F3, phase, 6, 0, 3**6)
+    assert calls == [5, 6]
+    assert phase.form(5) is phase.form(5)
+
+
+class _CubicPhase(Phase):
+    """Exponent x_0^3 in the constant digit: not a quadratic form for p = 5."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def exponents(self, ncoords, codes):
+        return (codes % 5) ** 3 % 5
+
+    def descriptor(self):
+        return "cubic"
+
+
+def test_compile_self_check_rejects_cubic_phase(F5):
+    with pytest.raises(IdentityCheckError, match="not a quadratic form"):
+        phase_hist(F5, _CubicPhase(F5), 3, 0, 5**3)
 
 
 def test_quad_zero_phase(F3):
@@ -168,6 +239,25 @@ def test_hankel_dual_route(F3, F5):
             assert rep.hist == rep2.hist
 
 
+def test_hankel_cross_check_is_exact(F3, monkeypatch):
+    # a Hankel matrix off by one entry makes the quadratic route disagree
+    alpha = sample_torus(F3, 21, 10)
+    beta = sample_torus(F3, 22, 5)
+    hankel_corr(F3, 4, alpha, beta)
+
+    def perturbed(alpha, n):
+        M = hankel_matrix(alpha, n)
+        M[0, 0] = (M[0, 0] + 1) % 3
+        return M
+
+    monkeypatch.setattr(correlations, "hankel_matrix", perturbed)
+    with pytest.raises(IdentityCheckError, match="routes disagree") as err:
+        hankel_corr(F3, 4, alpha, beta)
+    msg = str(err.value)
+    assert "n=4" in msg and f"alpha={alpha.format()}" in msg
+    assert "hankel [" in msg and "quadratic [" in msg
+
+
 def test_hankel_char2_works_without_crosscheck(F2):
     alpha = sample_torus(F2, 8, 30)
     beta = sample_torus(F2, 9, 10)
@@ -175,18 +265,20 @@ def test_hankel_char2_works_without_crosscheck(F2):
     assert rep.terms == 64
 
 
-def test_hankel_squaring_against_poly_squaring(F4):
-    # extension field: exponent of e(alpha f^2 + beta f) matches Poly math
+def test_hankel_squaring_against_poly_squaring(F3, F4, F5):
+    # exponent of e(alpha f^2 + beta f) matches Poly math, over prime and
+    # extension fields
     rng = np.random.default_rng(3)
     n = 3
-    alpha = sample_torus(F4, rng, 2 * n + 2)
-    beta = sample_torus(F4, rng, n + 1)
-    ph = HankelPhase(alpha, beta)
-    exps = ph.exponents(n, np.arange(4**n, dtype=np.int64))
-    for code in range(1, 4**n):
-        f = Poly.from_code(F4, code)
-        val = alpha.mul_poly(f * f) + beta.mul_poly(f)
-        assert int(exps[code]) == val.e_exponent()
+    for ctx in (F4, F3, F5):
+        alpha = sample_torus(ctx, rng, 2 * n + 2)
+        beta = sample_torus(ctx, rng, n + 1)
+        ph = HankelPhase(alpha, beta)
+        exps = ph.exponents(n, np.arange(ctx.q**n, dtype=np.int64))
+        for code in range(1, ctx.q**n):
+            f = Poly.from_code(ctx, code)
+            val = alpha.mul_poly(f * f) + beta.mul_poly(f)
+            assert int(exps[code]) == val.e_exponent()
 
 
 def test_periodic_constant_function(F2):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ffmobius import Poly, get_field, mobius, tau
+from ffmobius.errors import IdentityCheckError
 from ffmobius.laurent import sample_torus
 from ffmobius.polys import divisors, enumerate_polys
 from ffmobius.correlations import (
@@ -130,6 +131,57 @@ def test_coefficient_bounds_exhaustive(F2):
                     a_expect += mobius(a) * mobius(b)
             assert int(arrays["w_uv"][f.code]) == a_expect
             assert abs(a_expect) <= tau(f)
+
+
+def type_one_table(ctx, u, v):
+    """a_d = sum over d = a b, deg a <= u, deg b <= v, of mu(a) mu(b), by
+    the double loop over pairs of monic polynomials."""
+    q = ctx.q
+    a_d = {}
+    for da in range(u + 1):
+        for ac in range(q**da, 2 * q**da):
+            ma = mobius(Poly.from_code(ctx, ac))
+            if not ma:
+                continue
+            for db in range(v + 1):
+                for bc in range(q**db, 2 * q**db):
+                    mb = mobius(Poly.from_code(ctx, bc))
+                    if mb:
+                        dc = (Poly.from_code(ctx, ac) * Poly.from_code(ctx, bc)).code
+                        a_d[dc] = a_d.get(dc, 0) + ma * mb
+    return a_d
+
+
+@pytest.mark.parametrize(
+    "q,n,u,v", [(2, 10, 1, 2), (2, 10, 2, 1), (3, 8, 1, 1), (2, 9, 3, 1), (3, 6, 1, 2), (4, 5, 1, 1)]
+)
+def test_type_one_coefficients_are_w_uv(q, n, u, v):
+    # vaughan_decompose reads its type I coefficients from w_uv
+    from ffmobius.correlations import vaughan_rhs_arrays
+
+    ctx = get_field(2, 2) if q == 4 else get_field(q)
+    w_uv = vaughan_rhs_arrays(ctx, n, u, v)["w_uv"]
+    table = np.zeros_like(w_uv)
+    for dc, val in type_one_table(ctx, u, v).items():
+        table[dc] = val
+    assert np.array_equal(w_uv, table)
+
+
+def test_type_one_tau_check(F2, monkeypatch):
+    from ffmobius import correlations
+
+    rhs_arrays = correlations.vaughan_rhs_arrays
+
+    def inflated(ctx, D, u, v):
+        rhs = dict(rhs_arrays(ctx, D, u, v))
+        rhs["w_uv"] = rhs["w_uv"].copy()
+        rhs["w_uv"][2] += 5  # d = t, tau(t) = 2
+        return rhs
+
+    monkeypatch.setattr(correlations, "vaughan_rhs_arrays", inflated)
+    alpha = sample_torus(F2, 1, 10)
+    with pytest.raises(IdentityCheckError, match="type I coefficient exceeds tau"):
+        vaughan_decompose(F2, 6, LinearPhase(alpha), 1, 1)
 
 
 def test_u_plus_v_must_be_small(F2):
