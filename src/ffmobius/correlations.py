@@ -4,8 +4,10 @@ Every sum is accumulated as an integer histogram of omega_p exponents
 (signed by mu), so results are exact, order independent, and merge across
 enumeration chunks by plain vector addition; the complex value is a single
 dot product taken at the end.  Phases know how to evaluate themselves on a
-block of coefficient vectors and how to compose with a dilation w -> d w,
-which is what the Vaughan type I / type II decomposition needs.
+block of coefficient vectors and how to compose with a dilation w -> d w;
+the dilations are the tests' independent route to the Vaughan type I / type
+II sums, which the decomposition itself evaluates as the base phase's form
+at the product codes of d w (`_dilation_hists`).
 
 All three phase kinds share one kernel.  Written in the N = s n base-p
 digits of a code, the exponent of e(alpha f), e(alpha f^2 + beta f) and
@@ -213,9 +215,9 @@ def _probes(p: int, N: int) -> tuple:
     """What a compile on N digits over F_p evaluates: the codes 0, p^k, and
     p^k + p^l for all (k, l) row-major (the diagonal is 2 p^k), followed by
     the check codes (the repunits v (p^N - 1)/(p - 1) and 16 hashed codes);
-    the digit rows of the check codes; the strict upper triangle as a 0/1
-    matrix; the powers p^0..p^N as floats; and k mod p for every k up to
-    the largest unreduced exponent PhaseForm.hist can produce, plus p."""
+    the strict upper triangle as a 0/1 matrix; the powers p^0..p^N as
+    floats; and k mod p for every k up to the largest unreduced exponent
+    PhaseForm.hist can produce, plus p."""
     key = (p, N)
     if key not in _PROBES:
         P = p**N
@@ -224,10 +226,9 @@ def _probes(p: int, N: int) -> tuple:
         check += [(k * 0x9E3779B97F4A7C15 + 0x632BE5AB) % P for k in range(16)]
         codes = np.concatenate(([0], units, (units[:, None] + units).ravel(), check))
         funits = float(p) ** np.arange(N + 1)
-        check_rows = _digit_rows(np.array(check, dtype=np.float64), funits, p)
         upper = np.triu(np.ones((N, N)), 1)
         fold = np.arange(N * (p - 1) ** 2 + 3 * p) % p
-        _PROBES[key] = (codes.astype(np.int64), check_rows, upper, funits, fold)
+        _PROBES[key] = (codes.astype(np.int64), upper, funits, fold)
     return _PROBES[key]
 
 
@@ -253,7 +254,7 @@ class PhaseForm:
         mismatch raises IdentityCheckError."""
         p = phase.ctx.p
         N = phase.ctx.s * ncoords
-        codes, check_rows, upper, units, fold = _probes(p, N)
+        codes, upper, units, fold = _probes(p, N)
         E = np.asarray(phase.exponents(ncoords, codes), dtype=np.float64)
         c, e1 = float(E[0]), E[1 : N + 1]
         # E(e_k + e_l) - E(e_k) - E(e_l) + c: A_kl for k < l, 2 A_kk on the diagonal
@@ -266,7 +267,7 @@ class PhaseForm:
             A.flat[:: N + 1] = diag
             b = (e1 - c - diag) % p
         form = cls(p, A, b, c, units, fold[int(c) :])
-        got = (form._quad(check_rows)[1] + c) % p
+        got = form.exponents(codes[N + 1 + N * N :])
         want = E[N + 1 + N * N :]
         if (got != want).any():
             j = int(np.nonzero(got != want)[0][0])
@@ -282,6 +283,11 @@ class PhaseForm:
         """A y and y^T A y + b.y for each digit row y of Y."""
         G = Y @ self.A.T
         return G, np.einsum("ij,ij->i", G, Y) + Y @ self.b
+
+    def exponents(self, codes: np.ndarray) -> np.ndarray:
+        """E at each of the given codes, as residues in [0, p)."""
+        Y = _digit_rows(codes.astype(np.float64), self.units, self.p)
+        return ((self._quad(Y)[1] + self.c) % self.p).astype(np.intp)
 
     def hist(self, lo: int, hi: int, weights: np.ndarray | None) -> np.ndarray:
         """Exponent histogram over the codes [lo, hi), weighted by
@@ -340,16 +346,45 @@ def phase_hist(
     Weighted bincounts add float64 partial sums of magnitude at most
     hi - lo < 2^53, so they are exact too."""
     form = phase.form(ncoords)
+    hists = _map_spans(lambda a, b: form.hist(a, b, weights), lo, hi, workers)
+    return np.rint(sum(hists, np.zeros(ctx.p))).astype(np.int64)
+
+
+def _map_spans(fn, lo: int, hi: int, workers: int) -> list:
+    """fn(a, b) for each span [a, b) of at most CHUNK codes of [lo, hi), in
+    order, mapped over a thread pool when workers > 1."""
     spans = [(a, min(a + CHUNK, hi)) for a in range(lo, hi, CHUNK)]
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hists = list(pool.map(lambda ab: form.hist(*ab, weights), spans))
-    else:
-        hists = [form.hist(a, b, weights) for a, b in spans]
-    out = np.zeros(ctx.p)
-    for h in hists:
-        out += h
-    return np.rint(out).astype(np.int64)
+            return list(pool.map(lambda ab: fn(*ab), spans))
+    return [fn(a, b) for a, b in spans]
+
+
+def _dilation_hists(ctx: FieldCtx, form: PhaseForm, d_codes: np.ndarray, dd: int, lo: int,
+                    hi: int, weights: np.ndarray | None = None, workers: int = 1) -> np.ndarray:
+    """(len(d_codes), p) exponent histograms, row i over the w in [lo, hi)
+    of G_(n - dd) weighted by weights[w] (1 when None) at the exponent of
+    d_i w, for monic codes d_i of degree dd < n and a phase's compiled form
+    on n coordinates.  Row i is phase_hist of phase.compose_dilation(d_i) on
+    n - dd coordinates, the route the tests compare against.  Each product
+    block of d w codes is one bincount on row p + exponent; spans of CHUNK
+    w-codes are mapped over threads as in phase_hist."""
+    p = ctx.p
+    m = form.N // ctx.s - dd
+    d_digits = _sieve.codes_to_digits(ctx, d_codes, dd + 1)
+
+    def span(a, b):
+        out = np.zeros(len(d_codes) * p)
+        w_digits = _sieve.codes_to_digits(ctx, np.arange(a, b), m)
+        for i0, j0, codes in _sieve._product_blocks(ctx, d_digits, w_digits):
+            rows, cols = codes.shape
+            bins = form.exponents(codes.ravel()) + p * np.repeat(np.arange(rows), cols)
+            w = None if weights is None else np.tile(weights[a + j0 : a + j0 + cols], rows)
+            out[i0 * p : (i0 + rows) * p] += np.bincount(bins, weights=w, minlength=rows * p)
+        return out
+
+    hists = _map_spans(span, lo, hi, workers)
+    return np.rint(sum(hists, np.zeros(len(d_codes) * p))).astype(np.int64).reshape(-1, p)
 
 
 def hist_to_complex(ctx: FieldCtx, hist: np.ndarray) -> complex:
@@ -541,12 +576,12 @@ def periodic_route_check(
     q = ctx.q
     if q**n > budget:
         raise BudgetExceeded(q**n, budget, "A_n sweep")
-    phase = LinearPhase(alpha)
+    exps = LinearPhase(alpha).exponents(n + 1, np.arange(q**n, 2 * q**n, dtype=np.int64))
     table: dict = {}
     for j in range(q**n):
         f = Poly.from_code(ctx, q**n + j)
         cls = class_of(f, l, g)
-        e = int(phase.exponents(n + 1, np.array([q**n + j], dtype=np.int64))[0])
+        e = int(exps[j])
         if cls in table and table[cls] != e:
             raise IdentityCheckError(
                 "e(alpha f) is not constant on classes mod (l, g)",
@@ -635,31 +670,25 @@ def vaughan_pointwise_audit(
 ) -> VaughanAudit:
     """Exhaustively test mu(f) = -A1(f) + B(f) for every monic f with
     deg f <= max_deg and record where it fails."""
-    q = ctx.q
-    if q**max_deg > budget:
-        raise BudgetExceeded(q**max_deg, budget, "pointwise audit")
-    arrays = _audit_arrays(ctx, max_deg)
+    if ctx.q**max_deg > budget:
+        raise BudgetExceeded(ctx.q**max_deg, budget, "pointwise audit")
     rhs = vaughan_rhs_arrays(ctx, max_deg, u, v)
-    value = -rhs["a1"] + rhs["b"]
-    mu = arrays["mu"]
-    fail_degrees = []
-    failures = []
-    count = 0
-    for d in range(max_deg + 1):
-        lo, hi = q**d, 2 * q**d
-        bad = np.nonzero(value[lo:hi] != mu[lo:hi])[0]
-        if len(bad):
-            fail_degrees.append(d)
-            count += len(bad)
-            for j in bad[: max(0, max_examples - len(failures))]:
-                failures.append(Poly.from_code(ctx, lo + int(j)))
+    return _pointwise_audit(ctx, max_deg, u, v, rhs, max_examples)
+
+
+def _pointwise_audit(ctx, max_deg, u, v, rhs, max_examples=64) -> VaughanAudit:
+    """The audit of vaughan_pointwise_audit against given rhs arrays.  Both
+    sides vanish off the monic codes, so the failures in code order are
+    the failures by degree."""
+    bad = np.flatnonzero(-rhs["a1"] + rhs["b"] != _audit_arrays(ctx, max_deg)["mu"])
+    degrees = np.searchsorted(ctx.q ** np.arange(max_deg + 1), bad, side="right") - 1
     return VaughanAudit(
         u=u,
         v=v,
         max_deg=max_deg,
-        fail_degrees=tuple(fail_degrees),
-        failures=tuple(failures),
-        failure_count=count,
+        fail_degrees=tuple(int(d) for d in np.unique(degrees)),
+        failures=tuple(Poly.from_code(ctx, int(c)) for c in bad[: max(0, max_examples)]),
+        failure_count=len(bad),
     )
 
 
@@ -709,9 +738,11 @@ def vaughan_decompose(
     mu(a) mu(b); T2 carries b_d = sum over divisors a of d with deg a > u of
     mu(a) against mu(w) over deg w > v.  Beside the full sums the report
     carries the pointwise audit and the same sums restricted to the degrees
-    the audit clears, where direct = -T1 + T2 must hold exactly.
+    the audit clears, where direct = -T1 + T2 holds bin by bin (checked).
+    Per degree of d, T1 and T2 are the coefficients times the histograms
+    of _dilation_hists; the direct sum is taken by phase_hist.
     """
-    q = ctx.q
+    q, p = ctx.q, ctx.p
     if u is None:
         u = n // 18
     if v is None:
@@ -720,80 +751,48 @@ def vaughan_decompose(
         raise ValueError("u + v < n required")
     if q**n > budget:
         raise BudgetExceeded(q**n, budget, "vaughan sweep")
-    audit = vaughan_pointwise_audit(ctx, n, u, v, budget=budget)
-    pass_degrees = tuple(d for d in range(n) if d not in audit.fail_degrees)
-    sieve = _sieve.get_sieve(ctx, n)
     rhs = vaughan_rhs_arrays(ctx, n, u, v)
-
-    # type I coefficients a_d = (mu_u * mu_v)(d), nonzero only for deg d <= u + v
-    a_d = rhs["w_uv"]
-    tau = sieve.tau[: len(a_d)]
-    over = np.nonzero(np.abs(a_d) > tau)[0]
-    if len(over):
-        dc = int(over[0])
-        raise IdentityCheckError(
-            "type I coefficient exceeds tau",
-            counterexample=f"d={Poly.from_code(ctx, dc)!r}, a_d={int(a_d[dc])}, tau={int(tau[dc])}",
-        )
-    b_arr = rhs["r_u"]
-    for d in range(n):
-        lo, hi = q**d, 2 * q**d
-        if np.any(np.abs(b_arr[lo:hi]) > sieve.tau[lo:hi]):
-            j = int(np.nonzero(np.abs(b_arr[lo:hi]) > sieve.tau[lo:hi])[0][0])
+    audit = _pointwise_audit(ctx, n, u, v, rhs)
+    pass_degrees = tuple(d for d in range(n) if d not in audit.fail_degrees)
+    tau = _sieve.get_sieve(ctx, n).tau
+    a_d, b_d = rhs["w_uv"], rhs["r_u"]
+    for kind, name, coeffs in (("I", "a_d", a_d), ("II", "b_d", b_d[: q**n])):  # b_d: deg d < n
+        over = np.flatnonzero(np.abs(coeffs) > tau[: len(coeffs)])
+        if len(over):
+            dc = int(over[0])
             raise IdentityCheckError(
-                "type II coefficient exceeds tau",
-                counterexample=f"d={Poly.from_code(ctx, lo + j)!r}",
+                f"type {kind} coefficient exceeds tau",
+                counterexample=f"d={Poly.from_code(ctx, dc)!r}, {name}={int(coeffs[dc])}, "
+                f"tau={int(tau[dc])}",
             )
-
-    p = ctx.p
-    t1_full = np.zeros(p, dtype=np.int64)
-    t1_restr = np.zeros(p, dtype=np.int64)
-    for dc in np.nonzero(a_d)[0]:
-        coeff = int(a_d[dc])
-        d_poly = Poly.from_code(ctx, int(dc))
-        dd = int(d_poly.deg)
-        m = n - dd
-        phase_d = phase.compose_dilation(d_poly)
-        # w = 0 contributes Phi(0), outside every f-degree: full sum only
-        t1_full += coeff * phase_hist(ctx, phase_d, m, 0, 1, None, workers)
-        for lo, hi, passes in _degree_runs(q, 0, m, dd, pass_degrees):
-            h = coeff * phase_hist(ctx, phase_d, m, lo, hi, None, workers)
-            t1_full += h
-            if passes:
-                t1_restr += h
-    t2_full = np.zeros(p, dtype=np.int64)
-    t2_restr = np.zeros(p, dtype=np.int64)
-    for dd in range(n - v - 1):  # higher d leave no w with v < deg w < n - deg d
-        lo_d, hi_d = q**dd, 2 * q**dd
-        nz = np.nonzero(b_arr[lo_d:hi_d])[0]
-        for j in nz:
-            dc = lo_d + int(j)
-            coeff = int(b_arr[dc])
-            d_poly = Poly.from_code(ctx, dc)
-            m = n - dd
-            phase_d = phase.compose_dilation(d_poly)
-            mu_m = _sieve.mobius_over_g(ctx, m)
-            for lo, hi, passes in _degree_runs(q, v + 1, m, dd, pass_degrees):
-                h = coeff * phase_hist(ctx, phase_d, m, lo, hi, mu_m, workers)
-                t2_full += h
-                if passes:
-                    t2_restr += h
+    form = phase.form(n)
     mu_n = _sieve.mobius_over_g(ctx, n)
-    direct_full = np.zeros(p, dtype=np.int64)
-    direct_restr = np.zeros(p, dtype=np.int64)
+    # row 0 of each sum is the full sum, row 1 the sum over the pass degrees
+    t1, t2, direct = (np.zeros((2, p), dtype=np.int64) for _ in range(3))
+
+    def dilated(out, coeffs, degrees, first, weights, head=()):
+        for dd in degrees:
+            d_codes = q**dd + np.flatnonzero(coeffs[q**dd : 2 * q**dd])
+            if len(d_codes):
+                for lo, hi, passes in (*head, *_degree_runs(q, first, n - dd, dd, pass_degrees)):
+                    H = _dilation_hists(ctx, form, d_codes, dd, lo, hi, weights, workers)
+                    out[: 1 + passes] += coeffs[d_codes] @ H
+
+    # a_d = (mu_u * mu_v)(d) vanishes for deg d > u + v; w = 0 contributes
+    # Phi(0), outside every f-degree, to the full sum only
+    dilated(t1, a_d, range(u + v + 1), 0, None, [(0, 1, False)])
+    # d of degree n - v - 1 and above leave no w with v < deg w < n - deg d
+    dilated(t2, b_d, range(n - v - 1), v + 1, mu_n)
     for lo, hi, passes in _degree_runs(q, 0, n, 0, pass_degrees):
-        h = phase_hist(ctx, phase, n, lo, hi, mu_n, workers)
-        direct_full += h
-        if passes:
-            direct_restr += h
-    t1c = hist_to_complex(ctx, t1_full)
-    t2c = hist_to_complex(ctx, t2_full)
-    dc_ = hist_to_complex(ctx, direct_full)
-    residual = abs(dc_ - (-t1c + t2c))
-    restr = abs(
-        hist_to_complex(ctx, direct_restr)
-        - (-hist_to_complex(ctx, t1_restr) + hist_to_complex(ctx, t2_restr))
-    )
+        direct[: 1 + passes] += phase_hist(ctx, phase, n, lo, hi, mu_n, workers)
+    if not np.array_equal(direct[1], t2[1] - t1[1]):
+        raise IdentityCheckError(
+            "restricted sums violate direct = -T1 + T2",
+            counterexample=f"n={n}, u={u}, v={v}: direct {direct[1].tolist()}, "
+            f"T1 {t1[1].tolist()}, T2 {t2[1].tolist()}",
+        )
+    t1c, t2c, dc_ = (hist_to_complex(ctx, h[0]) for h in (t1, t2, direct))
+    t1r, t2r, dr = (hist_to_complex(ctx, h[1]) for h in (t1, t2, direct))
     return VaughanReport(
         u=u,
         v=v,
@@ -801,8 +800,8 @@ def vaughan_decompose(
         t1=t1c,
         t2=t2c,
         direct=dc_,
-        residual=residual,
-        restricted_residual=restr,
+        residual=abs(dc_ - (-t1c + t2c)),
+        restricted_residual=abs(dr - (-t1r + t2r)),
         pass_degrees=pass_degrees,
         fail_degrees=audit.fail_degrees,
         pointwise_failures=audit.failures,
@@ -827,14 +826,13 @@ def type_one_mean_square(
         raise BudgetExceeded(q**n, budget, "type I sweep")
     if k_max is None:
         k_max = n - 1
+    form = phase.form(n)
     rows = []
     for k in range(min(k_max, n - 1) + 1):
         m = n - k
+        H = _dilation_hists(ctx, form, np.arange(q**k, 2 * q**k), k, 0, q**m, None, workers)
         total = 0.0
-        for j in range(q**k):
-            d = Poly.from_code(ctx, q**k + j)
-            ph_d = phase.compose_dilation(d)
-            h = phase_hist(ctx, ph_d, m, 0, q**m, None, workers)
+        for h in H:  # in d order, so the float sum is always taken alike
             total += abs(hist_to_complex(ctx, h) / q**m) ** 2
         rows.append((k, total / q**k))
     return rows

@@ -384,11 +384,7 @@ def residues_mod(ctx: FieldCtx, Q: Poly, n: int) -> np.ndarray:
         for j in range(m):
             c = tmod[i][j]
             if c:
-                scaled = _sieve.scale_digits(ctx, c, digit)
-                if ctx.s == 1:
-                    acc[:, j] = (acc[:, j] + scaled) % ctx.p
-                else:
-                    acc[:, j] = ctx.ADD[acc[:, j], scaled]
+                acc[:, j] = ctx.ADD[acc[:, j], _sieve.scale_digits(ctx, c, digit)]
     return _sieve.digits_to_codes(ctx, acc)
 
 

@@ -98,9 +98,7 @@ def scale_digits(ctx: FieldCtx, c: int, digits: np.ndarray) -> np.ndarray:
     """Coefficientwise multiplication by the field element c."""
     if c == 1:
         return digits
-    if ctx.s == 1:
-        return (digits * c) % ctx.p
-    return ctx.MUL[c][digits].astype(np.int16)
+    return ctx.MUL[c].astype(np.int16)[digits]  # an int16 row keeps the result int16
 
 
 # -- the pairwise-product primitive -------------------------------------------

@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from ffmobius import Poly, get_field, mobius, tau
+from ffmobius import correlations
+from ffmobius import sieve as _sieve
 from ffmobius.errors import IdentityCheckError
 from ffmobius.laurent import sample_torus
 from ffmobius.polys import divisors, enumerate_polys
@@ -9,10 +13,13 @@ from ffmobius.correlations import (
     HankelPhase,
     LinearPhase,
     QuadraticPhase,
+    phase_hist,
+    type_one_mean_square,
     vaughan_decompose,
     vaughan_pointwise_audit,
 )
 from ffmobius.quadform import QuadPhase
+from test_correlations import _kernel_phases
 
 
 def pointwise_rhs(f, u, v):
@@ -184,6 +191,40 @@ def test_type_one_tau_check(F2, monkeypatch):
         vaughan_decompose(F2, 6, LinearPhase(alpha), 1, 1)
 
 
+def test_type_two_tau_check(F2, monkeypatch):
+    rhs_arrays = correlations.vaughan_rhs_arrays
+
+    def inflated(ctx, D, u, v):
+        rhs = dict(rhs_arrays(ctx, D, u, v))
+        rhs["r_u"] = rhs["r_u"].copy()
+        rhs["r_u"][7] += 5  # d = t^2 + t + 1, tau = 2
+        return rhs
+
+    monkeypatch.setattr(correlations, "vaughan_rhs_arrays", inflated)
+    alpha = sample_torus(F2, 1, 10)
+    with pytest.raises(IdentityCheckError, match=r"type II coefficient exceeds tau.*b_d=-?\d+, tau=2"):
+        vaughan_decompose(F2, 6, LinearPhase(alpha), 1, 1)
+
+
+def test_restricted_identity_is_exact(F2, monkeypatch):
+    # one bin of the direct sum off by one, in a degree the audit clears
+    n, u, v = 10, 2, 2
+    kernel = correlations.phase_hist
+
+    def perturbed(ctx, phase, ncoords, lo, hi, *args):
+        h = kernel(ctx, phase, ncoords, lo, hi, *args)
+        if hi == ctx.q**n:
+            h = h.copy()
+            h[1] += 1
+        return h
+
+    alpha = sample_torus(F2, 100, 12)
+    assert vaughan_decompose(F2, n, LinearPhase(alpha), u, v).restricted_residual == 0
+    monkeypatch.setattr(correlations, "phase_hist", perturbed)
+    with pytest.raises(IdentityCheckError, match=r"n=10, u=2, v=2: direct \[.*\], T1 \[.*\], T2 \[.*\]"):
+        vaughan_decompose(F2, n, LinearPhase(alpha), u, v)
+
+
 def test_u_plus_v_must_be_small(F2):
     alpha = sample_torus(F2, 1, 10)
     with pytest.raises(ValueError):
@@ -204,3 +245,105 @@ def test_type_one_mean_square(F2, F3):
     assert [k for k, _ in rows] == [0, 1, 2, 3]
     assert all(0 <= ms <= 1 + 1e-12 for _, ms in rows)
     assert rows == type_one_mean_square(F3, 6, LinearPhase(alpha), 3)
+
+
+def _phases(ctx, n, seed):
+    return _kernel_phases(ctx, n, np.random.default_rng(seed))
+
+
+def _composed_hists(ctx, phase, d_codes, m, lo, hi, weights):
+    """phase_hist of each dilated phase, the dilation composed into the
+    series or the quadratic form."""
+    return np.array(
+        [phase_hist(ctx, phase.compose_dilation(Poly.from_code(ctx, int(d))), m, lo, hi, weights)
+         for d in d_codes]
+    ).reshape(-1, ctx.p)
+
+
+@pytest.mark.parametrize("p,s,n", [(2, 1, 7), (3, 1, 5), (2, 2, 4), (5, 1, 3), (3, 2, 3)])
+def test_dilation_hists_match_composed_phases(p, s, n, monkeypatch):
+    ctx = get_field(p, s)
+    q = ctx.q
+    rng = np.random.default_rng(10 * p + s)
+    mu = _sieve.mobius_over_g(ctx, n)
+    for phase in _phases(ctx, n, 7 * p + s):
+        form = phase.form(n)
+        for dd in range(n):
+            m = n - dd
+            d_codes = q**dd + np.sort(rng.choice(q**dd, size=min(q**dd, 6), replace=False))
+            a, b = sorted(int(x) for x in rng.integers(0, q**m + 1, size=2))
+            for lo, hi in ((0, q**m), (a, b), (q**m - 1, q**m)):
+                for weights in (None, mu):
+                    got = correlations._dilation_hists(ctx, form, d_codes, dd, lo, hi, weights)
+                    want = _composed_hists(ctx, phase, d_codes, m, lo, hi, weights)
+                    assert np.array_equal(got, want), (phase.descriptor(), dd, lo, hi)
+        # product blocks of one or two products, spans of five w-codes,
+        # serial and threaded
+        monkeypatch.setattr(_sieve, "CHUNK_ENTRIES", 7)
+        monkeypatch.setattr(correlations, "CHUNK", 5)
+        d_codes, m = np.arange(q, 2 * q), n - 1
+        want = _composed_hists(ctx, phase, d_codes, m, 0, q**m, mu)
+        for workers in (1, 2):
+            got = correlations._dilation_hists(ctx, form, d_codes, 1, 0, q**m, mu, workers)
+            assert np.array_equal(got, want), (phase.descriptor(), workers)
+        monkeypatch.undo()
+
+
+def test_one_rhs_table_and_one_form_per_decomposition(F3, monkeypatch):
+    rhs_calls, compiles = [], []
+    rhs_arrays, compile_ = correlations.vaughan_rhs_arrays, correlations.PhaseForm.compile
+
+    def counted_rhs(*args):
+        rhs_calls.append(args)
+        return rhs_arrays(*args)
+
+    def counted_compile(cls, phase, ncoords):
+        compiles.append(ncoords)
+        return compile_(phase, ncoords)
+
+    def composed(self, d):
+        raise AssertionError("the drivers must not compose dilations")
+
+    monkeypatch.setattr(correlations, "vaughan_rhs_arrays", counted_rhs)
+    monkeypatch.setattr(correlations.PhaseForm, "compile", classmethod(counted_compile))
+    for cls in (LinearPhase, HankelPhase, QuadraticPhase):
+        monkeypatch.setattr(cls, "compose_dilation", composed)
+    for phase in _phases(F3, 6, 5):
+        rhs_calls.clear(), compiles.clear()
+        vaughan_decompose(F3, 6, phase, 1, 2)
+        assert len(rhs_calls) == 1 and compiles == [6]
+        type_one_mean_square(F3, 6, phase)  # reuses the phase's form
+        assert compiles == [6]
+    compiles.clear()
+    type_one_mean_square(F3, 6, _phases(F3, 6, 5)[0])
+    assert compiles == [6]
+
+
+# (p, s, n, u, v) -> first 16 hex digits of the sha256 of the newline-joined
+# reprs of vaughan_decompose(u, v) and type_one_mean_square (every k) for
+# each phase of _phases(ctx, n, 1000 p + 100 s + 10 n + u + v), recorded
+# from the route that composed one dilated phase per d.  The product-code
+# route must reproduce every float bit for bit.
+VAUGHAN_DIGESTS = {
+    (2, 1, 9, 1, 2): "2502bd76e9d0a5d7",
+    (2, 1, 10, 2, 2): "b34b7637ae694ff6",
+    (2, 1, 9, 3, 1): "0b7ce8690e6b173c",
+    (3, 1, 6, 1, 1): "e9650bd94bfc8055",
+    (3, 1, 7, 1, 2): "01293bf5560c6fa9",
+    (2, 2, 5, 1, 1): "27f568e55ccf2539",
+    (2, 2, 5, 3, 1): "0785fd8faf963efc",  # 65 pointwise failures, 64 reported
+    (5, 1, 4, 1, 1): "c44ba34689e478d5",
+    (3, 2, 3, 0, 1): "5b11aa7c87cf987c",
+    (2, 3, 3, 1, 0): "aa04d689aa24134c",
+}
+
+
+@pytest.mark.parametrize("key", sorted(VAUGHAN_DIGESTS), ids=lambda k: "q={}^{},n={},u={},v={}".format(*k))
+def test_vaughan_outputs_match_frozen_digests(key):
+    p, s, n, u, v = key
+    ctx = get_field(p, s)
+    out = []
+    for phase in _phases(ctx, n, 1000 * p + 100 * s + 10 * n + u + v):
+        out.append(repr(vaughan_decompose(ctx, n, phase, u, v)))
+        out.append(repr(type_one_mean_square(ctx, n, phase)))
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest()[:16] == VAUGHAN_DIGESTS[key]
