@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -193,7 +194,7 @@ def write_report(sub: str, cfg: dict, columns: list, rows: list):
 
 def _parse_alpha(ctx, text: str, rng, prec: int, flag: str) -> LaurentSeries:
     if text == "random":
-        return sample_torus(ctx, rng, prec)
+        return sample_torus(ctx, rng(), prec)
     if text == "0":
         return LaurentSeries.zero(ctx, prec)
     alpha = LaurentSeries.parse(ctx, text)
@@ -203,6 +204,10 @@ def _parse_alpha(ctx, text: str, rng, prec: int, flag: str) -> LaurentSeries:
 
 
 # -- runners ---------------------------------------------------------------------
+#
+# Each runner takes (ctx, cfg, rng) and returns (columns, rows).  rng() is the
+# run's one generator, seeded by --seed and built on first call, so commands
+# that draw nothing never import numpy.random.
 
 
 def run_pnt(ctx, cfg, rng):
@@ -354,7 +359,7 @@ def run_quad_corr(ctx, cfg, rng):
     n = cfg["n"]
     rows = []
     for trial in range(cfg["trials"]):
-        qp = _random_quad_phase(ctx, n, rng)
+        qp = _random_quad_phase(ctx, n, rng())
         rep = quad_corr(ctx, n, qp, cfg["budget"], cfg["workers"])
         s = rep.sum(ctx)
         rows.append((trial, n, rep.phase, s.real, s.imag, rep.abs(ctx), rep.empirical_exponent(ctx)))
@@ -375,7 +380,7 @@ def run_hankel_corr(ctx, cfg, rng):
 
 def run_vaughan_audit(ctx, cfg, rng):
     n = cfg["n"]
-    alpha = sample_torus(ctx, rng, n + 2)
+    alpha = sample_torus(ctx, rng(), n + 2)
     rep = vaughan_decompose(
         ctx, n, LinearPhase(alpha), cfg["u"], cfg["v"], cfg["budget"], cfg["workers"]
     )
@@ -407,7 +412,7 @@ def run_gauss_sums(ctx, cfg, rng):
     n = cfg["n"]
     rows = []
     for trial in range(cfg["trials"]):
-        qp = _random_quad_phase(ctx, n, rng)
+        qp = _random_quad_phase(ctx, n, rng())
         pure = trial % 2 == 0
         if pure:
             qp = QuadPhase(ctx, qp.M, np.zeros(n, dtype=np.int64), qp.c, qp.r)
@@ -423,7 +428,7 @@ def run_isotropic(ctx, cfg, rng):
     for trial in range(cfg["trials"]):
         forms = []
         for _ in range(r):
-            M = rng.integers(0, ctx.p, size=(n, n))
+            M = rng().integers(0, ctx.p, size=(n, n))
             M = np.triu(M)
             M = M + np.triu(M, 1).T
             forms.append(M % ctx.p)
@@ -436,7 +441,7 @@ def run_rank_stats(ctx, cfg, rng):
     n, k, h = cfg["n"], cfg["k"], cfg["h"]
     if not 0 <= k <= n:
         raise UsageError(f"--k {k} must lie in 0..{n}, the value of --n")
-    alpha = sample_torus(ctx, rng, 2 * n + 2)
+    alpha = sample_torus(ctx, rng(), 2 * n + 2)
     M = hankel_matrix(alpha, n)
     rs = rank_stats(
         ctx, M, k, h, mode=cfg["mode"], samples=cfg["samples"], seed=cfg["seed"], budget=cfg["budget"]
@@ -499,8 +504,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(_join_series_literals(sys.argv[1:] if argv is None else argv))
     try:
         cfg = resolve_config(args)
-        ctx = parse_field(cfg["field"])
-        rng = np.random.default_rng(cfg["seed"])
+        try:
+            ctx = parse_field(str(cfg["field"]), cfg["budget"])  # a config file may give a number
+        except (ValueError, BudgetExceeded) as exc:
+            raise UsageError(f"--field {cfg['field']}: {exc}") from exc
+        seed = cfg["seed"]
+        rng = functools.cache(lambda: np.random.default_rng(seed))
         columns, rows = RUNNERS[args.subcommand](ctx, cfg, rng)
         write_report(args.subcommand, cfg, columns, rows)
         return 0

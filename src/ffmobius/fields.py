@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import BudgetExceeded
+
 __all__ = ["FieldCtx", "get_field", "parse_field"]
 
 
@@ -241,10 +243,18 @@ def get_field(p: int, s: int = 1) -> FieldCtx:
     return _FIELDS[key]
 
 
-def parse_field(spec: str) -> FieldCtx:
-    """Parse a field spec string: "2", "3", "2^2", ..."""
-    spec = spec.strip()
-    if "^" in spec:
-        ps, ss = spec.split("^", 1)
-        return get_field(int(ps), int(ss))
-    return get_field(int(spec))
+def parse_field(spec: str, budget: int | None = None) -> FieldCtx:
+    """Parse a field spec string: "2", "3", "2^2", ...
+
+    With a budget, a field whose q x q operation tables exceed it raises
+    BudgetExceeded before anything is built."""
+    ps, caret, ss = spec.strip().partition("^")
+    p, s = int(ps), int(ss) if caret else 1
+    if budget is not None and p > 1:
+        q = 1
+        for _ in range(s):  # stops at the first power past the budget
+            q *= p
+            if q * q > budget:
+                needed = p ** (2 * s) if s <= 64 else q * q  # else a lower bound
+                raise BudgetExceeded(needed, budget, "q x q field tables")
+    return get_field(p, s)

@@ -19,14 +19,18 @@ necklace count (1/n) sum mu(d) q^(n/d).
 Every product of polynomials here goes through one primitive: a block of
 digit rows times another block, as a batched matmul of base-p digits
 (multiplication by a fixed polynomial is F_p-linear) followed by reduction
-mod p.  The sieve and convolve_monic consume its output in bounded chunks.
+mod p.  The sieve consumes its output in bounded chunks.  convolve_monic
+reads it through product tables: for each degree pair (da, db), the offsets
+of every monic product g h in its degree, built once and kept in _PRODUCTS
+up to PRODUCTS_MAX_BYTES, so that a convolution is one weighted bincount
+per degree pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, PrecisionExceeded
 from .fields import FieldCtx
 
 __all__ = [
@@ -328,31 +332,74 @@ def monic_digit_matrix(ctx: FieldCtx, d: int) -> np.ndarray:
     return _MONIC_DIGITS[key]
 
 
+# Cap on the bytes of product tables kept in _PRODUCTS.  A table that would
+# take the cache past it is built and used all the same, but not kept.
+PRODUCTS_MAX_BYTES = 1 << 25
+
+_PRODUCTS: dict[tuple, np.ndarray] = {}
+
+
+def _product_table(ctx: FieldCtx, da: int, db: int) -> np.ndarray:
+    """(q^da, q^db) int32 table, entry [i, j] the code of g_i * h_j minus
+    q^(da + db), for the monics g_i of degree da and h_j of degree db
+    (1 <= da <= db), in code order: the product's offset in its degree."""
+    key = (ctx, da, db)
+    table = _PRODUCTS.get(key)
+    if table is not None:
+        return table
+    q = ctx.q
+    lo = q ** (da + db)
+    if lo >= 2**31:
+        raise BudgetExceeded(lo, 2**31 - 1, f"int32 product offsets of degree {da + db}")
+    table = np.empty((q**da, q**db), dtype=np.int32)
+    a, b = monic_digit_matrix(ctx, da), monic_digit_matrix(ctx, db)
+    for i0, j0, codes in _product_blocks(ctx, a, b):
+        table[i0 : i0 + codes.shape[0], j0 : j0 + codes.shape[1]] = codes - lo
+    if sum(t.nbytes for t in _PRODUCTS.values()) + table.nbytes <= PRODUCTS_MAX_BYTES:
+        _PRODUCTS[key] = table
+    return table
+
+
 def convolve_monic(ctx: FieldCtx, max_deg: int, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
     """Dirichlet convolution over monics: out[f] = sum_{g h = f} wa[g] wb[h].
 
-    wa, wb are int arrays indexed by monic code.  For each degree pair the
-    monics of nonzero weight on either side are multiplied in product
-    blocks, and the outer product of their weights is scattered onto the
-    product codes.
+    wa, wb are int arrays indexed by monic code; the result is exact int64.
+    Each pair of degrees (da, db) of nonzero weight is one bincount of the
+    outer product of the two weight slices over the cached product table of
+    (da, db); a degree-0 factor (the weight at code 1) just scales the
+    other slice.  The bincount sums in float64, which is exact while every
+    partial sum stays below 2^53; the l1 norms of the two slices bound
+    them, and a pair whose bound reaches 2^53 raises PrecisionExceeded.
     """
     q = ctx.q
     out = np.zeros(2 * q**max_deg, dtype=np.int64)
-    nonzero_b = [np.flatnonzero(wb[q**d : 2 * q**d]) for d in range(max_deg + 1)]
+    slices_a = [wa[q**d : 2 * q**d] for d in range(max_deg + 1)]
+    slices_b = [wb[q**d : 2 * q**d] for d in range(max_deg + 1)]
+    # float64 l1 norms are exact below 2^53 and at least 2^53 otherwise
+    norms_a = [int(np.abs(x, dtype=np.float64).sum()) for x in slices_a]
+    norms_b = [int(np.abs(x, dtype=np.float64).sum()) for x in slices_b]
     for da in range(max_deg + 1):
-        ia = np.flatnonzero(wa[q**da : 2 * q**da])
-        if not len(ia):
-            continue
-        a = monic_digit_matrix(ctx, da)[ia]
         for db in range(max_deg + 1 - da):
-            ib = nonzero_b[db]
-            if not len(ib):
+            bound = norms_a[da] * norms_b[db]
+            if not bound:
                 continue
-            blocks = _product_blocks(ctx, a, monic_digit_matrix(ctx, db)[ib])
-            for i0, j0, codes in blocks:
-                rows, cols = codes.shape
-                weights = np.multiply.outer(
-                    wa[q**da + ia[i0 : i0 + rows]], wb[q**db + ib[j0 : j0 + cols]]
+            if bound >= 2**53:
+                raise PrecisionExceeded(
+                    f"convolution of degrees {da} and {db}: weight mass {bound} reaches 2^53"
                 )
-                np.add.at(out, codes, weights)
+            n = da + db
+            if da == 0 or db == 0:
+                part = slices_a[da] * slices_b[db]  # one side is the weight at code 1
+            else:
+                # weights as a float64 outer product: every entry is an
+                # integer below the bound, so exact
+                a = slices_a[da].astype(np.float64)
+                b = slices_b[db].astype(np.float64)
+                if da <= db:
+                    table, weights = _product_table(ctx, da, db), np.multiply.outer(a, b)
+                else:
+                    table, weights = _product_table(ctx, db, da), np.multiply.outer(b, a)
+                sums = np.bincount(table.ravel(), weights.ravel(), minlength=q**n)
+                part = sums.astype(np.int64)
+            out[q**n : 2 * q**n] += part
     return out

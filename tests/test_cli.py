@@ -203,3 +203,79 @@ def test_series_outside_torus_names_the_flag(args):
     assert res.returncode == 2
     assert f"{flag} {args[-1]} is not in the torus" in res.stderr
     assert "precision" not in res.stderr
+
+
+def test_field_above_budget_exits_2_naming_the_flag():
+    # q x q operation tables of F_65536 would need 2^32 entries: refused
+    # before any table is built, not a MemoryError traceback
+    res = run_cli(["pnt", "--field", "2^16", "--lmax", "2"])
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: --field 2^16: ")
+    assert "needs budget >= 4294967296, configured 1200000" in res.stderr
+    assert "Traceback" not in res.stderr and "MemoryError" not in res.stderr
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("6", "p = 6 is not prime"),
+    ("x", "invalid literal"),
+    ("2^0", "extension degree s must be >= 1"),
+], ids=["not-prime", "not-a-number", "degree-0"])
+def test_bad_field_exits_2_naming_the_flag(spec, reason, capsys):
+    import ffmobius.cli as cli
+
+    assert cli.main(["pnt", "--field", spec, "--lmax", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --field {spec}: ") and reason in err
+
+
+def test_commands_without_draws_never_import_numpy_random():
+    code = (
+        "import sys\n"
+        "from ffmobius.cli import main\n"
+        "assert main(['linear-corr', '--field', '3', '--n', '5', '--alpha', '-1:1,2,0,1,1,0']) == 0\n"
+        "assert main(['hankel-corr', '--field', '3', '--n', '3', '--alpha', '-1:1,2,0,1,1,0,2,1',\n"
+        "             '--beta', '-1:2,1,0,1']) == 0\n"
+        "assert main(['mobius-sums', '--field', '2', '--nmax', '4']) == 0\n"
+        "print('numpy.random' in sys.modules, file=sys.stderr)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.strip().endswith("False")
+
+
+# First 16 hex digits of the sha256 of the output of each command at
+# --seed 23, recorded when every run built its generator up front.  A
+# generator built on first use must draw the same sequence.
+SEEDED_OUTPUT_DIGESTS = [
+    (["linear-corr", "--field", "3", "--n", "6"], "dc694d954f7114bd"),
+    (["quad-corr", "--field", "3", "--n", "4", "--trials", "2"], "35fb658c50e66991"),
+    (["hankel-corr", "--field", "2", "--n", "5", "--trials", "2"], "1731d02d01ca1563"),
+    (["hankel-corr", "--field", "3", "--n", "4", "--alpha=-1:1,2,0,1,1,0,2,1", "--trials", "2"],
+     "0b27ed14d2a2868e"),
+    (["vaughan-audit", "--field", "2", "--n", "7", "--u", "1", "--v", "2"], "1cfea549f143fe6d"),
+    (["gauss-sums", "--field", "5", "--n", "3", "--trials", "3"], "eda936c68e44a780"),
+    (["isotropic", "--field", "3", "--n", "4", "--r", "2", "--trials", "2"], "1644add00783a723"),
+    (["rank-stats", "--field", "3", "--n", "4", "--k", "2", "--h", "1", "--mode", "sampled",
+      "--samples", "5"], "56810960cb6ac791"),
+]
+
+
+@pytest.mark.parametrize("args, digest", SEEDED_OUTPUT_DIGESTS,
+                         ids=lambda a: a[0] if isinstance(a, list) else None)
+def test_seeded_outputs_match_frozen_digests(args, digest, tmp_path):
+    import hashlib
+
+    import ffmobius.cli as cli
+
+    out = tmp_path / "out.csv"
+    assert cli.main(args + ["--seed", "23", "--workers", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+def test_config_field_may_be_a_number(tmp_path, capsys):
+    import ffmobius.cli as cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"field": 3}))
+    assert cli.main(["pnt", "--config", str(cfg), "--lmax", "3"]) == 0
+    assert capsys.readouterr().out.strip().split("\n")[-1] == "3,27,27,1"

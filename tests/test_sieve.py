@@ -219,3 +219,106 @@ def test_codes_to_digits_matches_digit_formula(ps, width):
     if width:  # the stacked formula it replaces
         old = np.stack([(codes // q**i) % q for i in range(width)], axis=1).astype(np.int16)
         assert np.array_equal(got, old)
+
+
+# (p, s, largest max_deg): the Poly oracle below multiplies every pair of
+# monics of total degree <= max_deg, so the bound shrinks as q grows
+CONVOLVE_FIELDS = [(2, 1, 6), (3, 1, 5), (2, 2, 4), (5, 1, 3), (3, 2, 2)]
+
+
+def _signed_weights(ctx, D, rng, zero_degrees=()):
+    w = np.zeros(2 * ctx.q**D, dtype=np.int64)
+    for d in range(D + 1):
+        if d not in zero_degrees:
+            w[ctx.q**d : 2 * ctx.q**d] = rng.integers(-7, 8, size=ctx.q**d)
+    return w
+
+
+def _convolve_by_poly_products(ctx, D, wa, wb):
+    q = ctx.q
+    out = np.zeros(2 * q**D, dtype=np.int64)
+    for da in range(D + 1):
+        for db in range(D + 1 - da):
+            for g in range(q**da, 2 * q**da):
+                if not wa[g]:
+                    continue
+                pg = Poly.from_code(ctx, g)
+                for h in range(q**db, 2 * q**db):
+                    out[(pg * Poly.from_code(ctx, h)).code] += wa[g] * wb[h]
+    return out
+
+
+@pytest.mark.parametrize("key", CONVOLVE_FIELDS, ids=lambda k: "q={}^{}".format(*k[:2]))
+def test_convolve_monic_matches_poly_divisor_enumeration(key):
+    # random signed weights, with whole degrees of zero weight on either side
+    p, s, D = key
+    ctx = get_field(p, s)
+    rng = np.random.default_rng(1000 * p + s)
+    cases = [
+        (_signed_weights(ctx, D, rng), _signed_weights(ctx, D, rng)),
+        (_signed_weights(ctx, D, rng, zero_degrees={0, 2}), _signed_weights(ctx, D, rng)),
+        (_signed_weights(ctx, D, rng), _signed_weights(ctx, D, rng, zero_degrees={1, D})),
+    ]
+    for wa, wb in cases:
+        want = _convolve_by_poly_products(ctx, D, wa, wb)
+        for max_deg in range(D + 1):
+            size = 2 * ctx.q**max_deg
+            got = convolve_monic(ctx, max_deg, wa[:size], wb[:size])
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want[:size]), max_deg
+
+
+def test_convolve_monic_without_cached_tables(monkeypatch):
+    # a cap of 0 keeps no table, and the results are the same
+    rng = np.random.default_rng(77)
+    runs = []
+    for ctx, D in ((get_field(2), 8), (get_field(3), 5), (get_field(2, 2), 4)):
+        wa, wb = _signed_weights(ctx, D, rng), _signed_weights(ctx, D, rng, zero_degrees={3})
+        runs.append((ctx, D, wa, wb, convolve_monic(ctx, D, wa, wb)))
+    monkeypatch.setattr(_sieve, "_PRODUCTS", {})
+    monkeypatch.setattr(_sieve, "PRODUCTS_MAX_BYTES", 0)
+    for ctx, D, wa, wb, want in runs:
+        assert np.array_equal(convolve_monic(ctx, D, wa, wb), want)
+    assert _sieve._PRODUCTS == {}
+
+
+def test_product_tables_are_built_once(F3, monkeypatch):
+    monkeypatch.setattr(_sieve, "_PRODUCTS", {})
+    rng = np.random.default_rng(5)
+    wa, wb = _signed_weights(F3, 5, rng), _signed_weights(F3, 5, rng)
+    want = convolve_monic(F3, 5, wa, wb)
+    assert sorted(k[1:] for k in _sieve._PRODUCTS) == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]
+
+    def no_products(*args):
+        raise AssertionError("product table rebuilt")
+
+    monkeypatch.setattr(_sieve, "_product_blocks", no_products)
+    assert np.array_equal(convolve_monic(F3, 5, wb, wa), convolve_monic(F3, 5, wa, wb))
+    assert np.array_equal(convolve_monic(F3, 5, wa, wb), want)
+
+
+def test_convolve_monic_precision_guard(F2):
+    # weights whose l1 mass reaches 2^53 in some degree pair are refused
+    from ffmobius.errors import PrecisionExceeded
+
+    def weights(values):
+        w = np.zeros(8, dtype=np.int64)
+        for code, val in values.items():
+            w[code] = val
+        return w
+
+    below = convolve_monic(F2, 2, weights({2: 2**53 - 1}), weights({2: 1, 3: 0}))
+    assert below[4] == 2**53 - 1  # t * t, still exact
+    with pytest.raises(PrecisionExceeded):
+        convolve_monic(F2, 2, weights({2: 2**27, 3: -(2**26)}), weights({2: 2**26, 3: 1}))
+    with pytest.raises(PrecisionExceeded):
+        convolve_monic(F2, 2, weights({1: 2**53}), weights({1: 1}))  # degree 0 pair
+    with pytest.raises(PrecisionExceeded):
+        convolve_monic(F2, 2, weights({1: 1, 2: 2**52}), weights({2: -2, 3: 0}))
+
+
+def test_product_offsets_must_fit_int32(F2):
+    from ffmobius.errors import BudgetExceeded
+
+    with pytest.raises(BudgetExceeded):
+        _sieve._product_table(F2, 1, 30)
