@@ -33,19 +33,6 @@ def _is_prime(n: int) -> bool:
 
 # -- tiny F_p[x] helpers used only for modulus construction ------------------
 
-def _fp_mul(a: tuple, b: tuple, p: int) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _fp_mod(a: tuple, m: tuple, p: int) -> tuple:
     a = list(a)
     dm = len(m) - 1
@@ -129,51 +116,41 @@ class FieldCtx:
     def spec(self) -> str:
         return f"{self.p}^{self.s}" if self.s > 1 else str(self.p)
 
-    def _digits(self, code: int) -> tuple:
-        out = []
-        for _ in range(self.s):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
-
-    def _code(self, digits) -> int:
-        c = 0
-        for d in reversed(list(digits)):
-            c = c * self.p + d
-        return c
-
     def _build_tables(self):
+        # whole-table arithmetic on the (q, s) digit array, one base-p digit
+        # of the result at a time so that temporaries stay (q, q)
         p, s, q = self.p, self.s, self.q
-        dig = [self._digits(a) for a in range(q)]
+        dig = np.arange(q)[:, None] // p ** np.arange(s) % p
+        # the digits of a b are sum_i a_i (x^i b); x^(i+1) b is x^i b shifted
+        # up one digit, its top digit c coming back as -c (modulus - x^s)
+        xb = [dig]
+        for _ in range(s - 1):
+            prev = xb[-1]
+            up = np.pad(prev[:, :-1], ((0, 0), (1, 0)))
+            xb.append((up - prev[:, -1:] * np.array(self.modulus[:s])) % p)
+        xb = np.stack(xb, axis=1)  # (b, i, digit)
         add = np.zeros((q, q), dtype=np.int64)
         mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(a, q):
-                ab = self._code((x + y) % p for x, y in zip(dig[a], dig[b]))
-                add[a, b] = add[b, a] = ab
-                prod = _fp_mod(_fp_mul(dig[a], dig[b], p), self.modulus, p)
-                mcode = self._code(prod + (0,) * (s - len(prod)))
-                mul[a, b] = mul[b, a] = mcode
-        neg = np.array(
-            [self._code((-x) % p for x in dig[a]) for a in range(q)], dtype=np.int64
-        )
+        for t in range(s):
+            add += p**t * ((dig[:, None, t] + dig[None, :, t]) % p)
+            mul += p**t * (dig @ xb[:, :, t].T % p)
+        neg = (-dig % p) @ p ** np.arange(s)
         inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a, b] == 1:
-                    inv[a] = b
-                    break
+        a, b = np.nonzero(mul == 1)
+        inv[a] = b
         sub = add[:, neg]
         # Tr(a) = a + a^p + ... + a^(p^(s-1)); lands in the prime subfield,
         # whose elements are exactly the codes 0..p-1.
-        trace = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            x, acc = a, a
-            for _ in range(s - 1):
-                x = self._pow_raw(x, p, mul)
-                acc = add[acc, x]
-            assert acc < p, "trace outside prime subfield"
-            trace[a] = acc
+        frob, base, e = np.ones(q, dtype=np.int64), np.arange(q), p
+        while e:  # a -> a^p for every a at once
+            if e & 1:
+                frob = mul[frob, base]
+            base, e = mul[base, base], e >> 1
+        trace = x = np.arange(q)
+        for _ in range(s - 1):
+            x = frob[x]
+            trace = add[trace, x]
+        assert (trace < p).all(), "trace outside prime subfield"
         self.ADD, self.SUB, self.MUL = add, sub, mul
         self.NEG, self.INV, self.TRACE = neg, inv, trace
 

@@ -3,20 +3,23 @@
 Two monic polynomials are equivalent mod (l, Q) when they agree mod Q and
 share their first l coefficients a_1..a_l, read from
 f = t^n + a_1 t^(n-1) + ... with a_i = 0 past the degree.  The invertible
-classes form an abelian group of order q^l phi(Q); its structure is found
-by a generator-peeling walk plus Smith normal form of the relation matrix,
-which also yields discrete logs in invariant-factor coordinates.  Character
-values are kept as root-of-unity exponents so products and histograms stay
-exact; complex numbers appear only when coefficient sums are assembled.
+classes form an abelian group of order q^l phi(Q).  Its elements are
+indices (residue rank, then head digits), and its structure comes from
+generator peeling on index maps i -> index(e_i e_j), each built in one
+vectorised pass from the rows t^k mod Q, then Smith normal form of the
+relation matrix, which also yields discrete logs in invariant-factor
+coordinates.  Character values are kept as root-of-unity exponents so
+products and histograms stay exact.
 
 The sums over A_n of lambda(f), mu(f) lambda(f) and Lambda(f) lambda(f)
-come from one table per (group, n).  class_weights sorts A_n into classes
-in one vectorised pass (residues_mod gives f mod Q, the tail digits give
-the head) and totals the count, mu and Lambda per class.  One chunked
-histogram pass then turns these into exact integer exponent histograms over
-Z/L for every character at once, and only their complex sums are kept.  The
-L-polynomial coefficients c_n and the Euler and log-derivative checks all
-read that table.  For non-principal lambda the c_n must vanish for
+come from one table per group.  class_weights sorts A_n into classes in one
+vectorised pass (residues_mod gives f mod Q, from one read-only table per
+(Q, n) that every group of modulus Q and principal_check share, kept up to
+RESIDUES_MAX_BYTES; the tail digits give the head).  Each block of
+character exponents is computed once and histogrammed exactly against the
+weights of every missing degree; only the complex sums are kept, one 1-D
+dot per histogram row.  The L-polynomials and the Euler and log-derivative
+checks read that table.  For non-principal lambda the c_n must vanish for
 n >= l + deg Q, every root must have modulus 1 or q^(-1/2), and 1/L must
 reproduce the Mobius-twisted sums; violations raise, since all three facts
 are theorems in this setting.
@@ -25,7 +28,7 @@ are theorems in this setting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -91,7 +94,10 @@ def class_of(f: Poly, l: int, Q: Poly) -> HayesClass:
 
 
 class HayesGroup:
-    """The group of invertible classes mod (l, Q) with dlog tables."""
+    """The group of invertible classes mod (l, Q) with dlog tables.
+
+    Element i is the class of the (i // q^l)-th invertible residue with the
+    head digits of i % q^l, a_1 least significant."""
 
     def __init__(self, ctx: FieldCtx, l: int, Q: Poly, budget: int = 100_000):
         if not Q.is_monic():
@@ -104,16 +110,23 @@ class HayesGroup:
         self.order = ctx.q**l * self.phi
         if self.order > budget:
             raise BudgetExceeded(self.order, budget, "Hayes group")
-        self._build_elements()
+        self._residues = np.flatnonzero(_coprime_residue_mask(ctx, Q))
+        assert len(self._residues) == self.phi, "phi(Q) mismatch against enumeration"
+        self._residue_rank = np.full(ctx.q**self.m, -1, dtype=np.int64)
+        self._residue_rank[self._residues] = np.arange(self.phi)
+        self._tmod = _tmod_rows(ctx, Q, 2 * max(self.m, 1) - 2)
+        self.identity = class_of(Poly.one(ctx), l, Q)
         self._build_structure()
         self._weights_cache: dict[int, tuple] = {}
-        self._sums_cache: dict[int, np.ndarray] = {}
+        self._sums = np.empty((0, self.order, 3), dtype=complex)  # [n, char id, weight]
+        self._lpolys: dict[tuple, LPolynomial] = {}
         self._roots_cache: dict[tuple, np.ndarray] = {}
         self._unit_roots = np.exp(2j * np.pi * np.arange(self.exponent_lcm) / self.exponent_lcm)
 
     # -- the raw multiplication law -------------------------------------------
 
     def mul_class(self, x: HayesClass, y: HayesClass) -> HayesClass:
+        """Product of two classes by Poly arithmetic: the oracle of _mul_by."""
         ctx, Q, l = self.ctx, self.Q, self.l
         if self.m == 0:
             residue = 0
@@ -129,49 +142,63 @@ class HayesGroup:
         )
         return HayesClass(residue, head)
 
-    def _build_elements(self):
-        ctx, l, Q = self.ctx, self.l, self.Q
-        q = ctx.q
-        residues = np.flatnonzero(_coprime_residue_mask(ctx, Q))
-        assert len(residues) == self.phi, "phi(Q) mismatch against enumeration"
-        # element index = rank of the residue among the invertible ones, then
-        # the head digits a_1..a_l in mixed radix (a_1 least significant)
-        self._residue_rank = np.full(q**self.m, -1, dtype=np.int64)
-        self._residue_rank[residues] = np.arange(len(residues))
-        self.elements: list[HayesClass] = []
-        for r in residues:
-            for h in range(q**l):
-                head = tuple((h // q**i) % q for i in range(l))
-                self.elements.append(HayesClass(int(r), head))
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        self.identity = class_of(Poly.one(ctx), l, Q)
+    def _mul_by(self, j: int) -> np.ndarray:
+        """The map i -> index(e_i e_j) over every element index, in one pass.
+
+        Multiplication by e_j is F_q-linear on residue digits (rows t^a r_j
+        mod Q, from the rows t^k mod Q) and on heads (1, a_1..a_l) (products
+        with (1, b_1..b_l) truncated after u^l): two matrix products."""
+        from .quadform import fq_matmul
+
+        ctx, ql, w = self.ctx, self.ctx.q**self.l, max(self.m, 1)  # Q = 1: one zero digit
+        R = _sieve.codes_to_digits(ctx, self._residues, w)
+        res = fq_matmul(ctx, R, fq_matmul(ctx, _toeplitz(R[j // ql], w, 2 * w - 1), self._tmod))
+        H = _sieve.monic_digit_matrix(ctx, self.l)[:, np.r_[self.l, : self.l]]
+        head = fq_matmul(ctx, H, _toeplitz(H[j % ql], self.l + 1, self.l + 1))[:, 1:]
+        rank = self._residue_rank[_sieve.digits_to_codes(ctx, res)]
+        return (rank[:, None] * ql + _sieve.digits_to_codes(ctx, head)).ravel()
+
+    def _class_at(self, i: int) -> HayesClass:
+        q = self.ctx.q
+        r, h = divmod(int(i), q**self.l)
+        return HayesClass(int(self._residues[r]), tuple(h // q**k % q for k in range(self.l)))
+
+    @cached_property
+    def elements(self) -> list:
+        """Every class in element-index order, built on first use."""
+        return [self._class_at(i) for i in range(self.order)]
+
+    @cached_property
+    def index(self) -> dict:
+        """Class -> element index, built on first use."""
+        return {e: i for i, e in enumerate(self.elements)}
 
     def _build_structure(self):
-        mul = self.mul_class
-        dlog: dict[HayesClass, tuple] = {self.identity: ()}
-        gens: list[HayesClass] = []
-        rel_rows: list[list[int]] = []
-        for cand in self.elements:
-            if cand in dlog:
-                continue
-            i = len(gens)
-            gens.append(cand)
-            old = dict(dlog)
+        # generator peeling on index maps: the first element outside the
+        # subgroup found so far is the next generator, its cosets give their
+        # elements an exponent vector (a row of dlog), and the power of it
+        # that lands in the subgroup gives a relation
+        order = self.order
+        known = np.zeros(order, dtype=bool)
+        known[self._residue_rank[self.identity.residue_code] * self.ctx.q**self.l] = True
+        # at most log2(order) generators, since each one at least doubles the subgroup
+        dlog = np.zeros((order, order.bit_length()), dtype=np.int64)
+        gens, rel_rows = [], []
+        while not known.all():
+            cand, i = int(np.argmin(known)), len(gens)
+            M = self._mul_by(cand)
             x, e = cand, 1
-            powers = []
-            while x not in old:
-                powers.append(x)
-                x = mul(x, cand)
-                e += 1
-            w = old[x]  # cand^e lands on a known element
-            row = [-(w[j] if j < len(w) else 0) for j in range(i)] + [e]
-            rel_rows.append(row)
-            for h, vec in old.items():
-                acc = h
-                for k in range(1, e):
-                    acc = mul(acc, cand)
-                    dlog[acc] = vec + (0,) * (i - len(vec)) + (k,)
-        assert len(dlog) == self.order, "group walk did not cover all classes"
+            while not known[x]:
+                x, e = M[x], e + 1
+                assert e <= order, "multiplication map is not a group law"
+            rel_rows.append([-int(v) for v in dlog[x, :i]] + [e])
+            gens.append(cand)
+            sub = coset = np.flatnonzero(known)
+            for k in range(1, e):
+                coset = M[coset]
+                dlog[coset] = dlog[sub]
+                dlog[coset, i] = k
+                known[coset] = True
         k = len(gens)
         # relation vectors as columns, so Z^k / im(.) is the group and the
         # row transform of the SNF carries exponent vectors to invariant
@@ -186,43 +213,18 @@ class HayesGroup:
             "invariant factors do not multiply to the group order"
         )
         keep = [i for i, d in enumerate(diag) if d > 1]
-        self.generators = gens
+        self.generators = [self._class_at(c) for c in gens]
         self.invariant_factors = tuple(diag[i] for i in keep)
         self.exponent_lcm = lcm(*self.invariant_factors) if keep else 1
         # dlog in invariant coordinates: x -> (U x) mod d, restricted to the
         # nontrivial factors
-        Umat = np.array(U, dtype=np.int64) if k else np.zeros((0, 0), np.int64)
-        self.dlog_y = np.zeros((self.order, len(keep)), dtype=np.int64)
-        for elem, vec in dlog.items():
-            x = np.zeros(k, dtype=np.int64)
-            x[: len(vec)] = vec
-            y = Umat @ x if k else x
-            row = [int(y[i]) % diag[i] for i in keep]
-            self.dlog_y[self.index[elem]] = row
-        # a generating element for each invariant factor, for reporting
-        self.structure = list(zip(self._invariant_generators(U, diag, keep), self.invariant_factors))
-
-    def _invariant_generators(self, U, diag, keep):
-        k = len(diag)
-        if not k:
-            return []
-        inv = _integer_inverse(U)
-        out = []
-        for j in keep:
-            g = self.identity
-            for i in range(k):
-                g = self.mul_class(g, self._class_pow(self.generators[i], inv[i][j] % self.order))
-            out.append(self.index[g])
-        return out
-
-    def _class_pow(self, x: HayesClass, e: int) -> HayesClass:
-        r = self.identity
-        while e:
-            if e & 1:
-                r = self.mul_class(r, x)
-            x = self.mul_class(x, x)
-            e >>= 1
-        return r
+        y = dlog[:, :k] @ np.array(U, dtype=np.int64).reshape(k, k).T
+        self.dlog_y = y[:, keep] % np.array(self.invariant_factors, dtype=np.int64)
+        # a generating element for each invariant factor, for reporting: the
+        # one whose invariant coordinates are the unit vector of that factor
+        units = np.eye(len(keep), dtype=np.int64)
+        self.structure = [(int(np.flatnonzero((self.dlog_y == u).all(axis=1))[0]), d)
+                          for u, d in zip(units, self.invariant_factors)]
 
     # -- evaluation helpers -----------------------------------------------------
 
@@ -279,70 +281,59 @@ class HayesGroup:
             cid //= d
         return scale @ self.dlog_y.T % L
 
+    def _histogram_blocks(self, ns, budget: int):
+        """Yield (first char id, i, hist) by block of characters, then by
+        degree: hist as in exponent_histograms(ns[i]).  A block's exponents
+        are computed once for all the degrees."""
+        weights = [np.stack(self.class_weights(n, budget=budget)).astype(np.float64) for n in ns]
+        L, order = self.exponent_lcm, self.order
+        step = max(1, CHAR_CHUNK_ENTRIES // order)
+        for start in range(0, order, step):
+            k = min(step, order - start)
+            flat = (self._character_exponents(start, start + k)
+                    + L * np.arange(k, dtype=np.int64)[:, None]).ravel()
+            for i, wn in enumerate(weights):
+                hist = np.empty((k, 3, L), dtype=np.int64)
+                for w in range(3):  # exact, as in class_weights
+                    hist[:, w] = np.bincount(flat, np.tile(wn[w], k), k * L).reshape(k, L)
+                yield start, i, hist
+
     def exponent_histograms(self, n: int, budget: int = 1_200_000):
         """Yield (first char id, hist) blocks over all characters, where
         hist[c, w, e] is the total of weight w (0 count, 1 mu, 2 Lambda) of
         class_weights(n) over the elements on which the character takes the
         value omega_L^e.  Exact int64; characters come in blocks of at most
         CHAR_CHUNK_ENTRIES exponents."""
-        weights = np.stack(self.class_weights(n, budget=budget)).astype(np.float64)
-        L, order = self.exponent_lcm, self.order
-        step = max(1, CHAR_CHUNK_ENTRIES // order)
-        for start in range(0, order, step):
-            stop = min(start + step, order)
-            k = stop - start
-            flat = (self._character_exponents(start, stop)
-                    + L * np.arange(k, dtype=np.int64)[:, None]).ravel()
-            hist = np.empty((k, 3, L), dtype=np.int64)
-            for w in range(3):  # exact, as in class_weights
-                hist[:, w] = np.bincount(flat, np.tile(weights[w], k), k * L).reshape(k, L)
+        for start, _, hist in self._histogram_blocks([n], budget):
             yield start, hist
 
     def char_sums(self, n: int, budget: int = 1_200_000) -> np.ndarray:
         """(order, 3) complex sums over A_n of lambda(f), mu(f) lambda(f) and
-        Lambda(f) lambda(f), one row per character id; cached per n."""
-        if n not in self._sums_cache:
-            sums = np.empty((self.order, 3), dtype=complex)
-            for start, hist in self.exponent_histograms(n, budget=budget):
-                for c, rows in enumerate(hist, start):
-                    # one 1-D dot per histogram, so that no float depends on
-                    # the blocking or on how many characters share a call
-                    for w in range(3):
-                        sums[c, w] = rows[w] @ self._unit_roots
-            self._sums_cache[n] = sums
-        return self._sums_cache[n]
+        Lambda(f) lambda(f), one row per character id."""
+        return self.char_sum_table(n, budget=budget)[n]
 
-    def char_sum_table(self, n_max: int, budget: int = 1_200_000) -> list:
-        """[char_sums(n) for n = 0..n_max]."""
-        missing = [n for n in range(n_max + 1) if n not in self._sums_cache]
-        # weights of the top degree first, so that the sieve grows once and
-        # before any table is kept; a degree over budget raises below, at the
-        # lowest such n
-        for n in reversed(missing):
-            if self.ctx.q**n <= budget:
-                self.class_weights(n, budget=budget)
-        return [self.char_sums(n, budget=budget) for n in range(n_max + 1)]
+    def char_sum_table(self, n_max: int, budget: int = 1_200_000) -> np.ndarray:
+        """(n_max + 1, order, 3) complex array of char_sums(n), n = 0..n_max;
+        degrees not yet kept come from one histogram pass."""
+        missing = range(len(self._sums), n_max + 1)
+        if missing:
+            # weights of the top degree first, so that the sieve grows once
+            # and before any table is kept; a degree over budget raises in
+            # _histogram_blocks, at the lowest such n
+            for n in reversed(missing):
+                if self.ctx.q**n <= budget:
+                    self.class_weights(n, budget=budget)
+            sums = np.empty((len(missing), self.order, 3), dtype=complex)
+            for start, i, hist in self._histogram_blocks(missing, budget):
+                # one 1-D dot per histogram, so that no float depends on the
+                # blocking or on how many characters share a call
+                dots = [r @ self._unit_roots for r in hist.astype(complex).reshape(-1, hist.shape[2])]
+                sums[i, start : start + len(hist)] = np.reshape(dots, hist.shape[:2])
+            self._sums = np.concatenate([self._sums, sums])
+        return self._sums[: n_max + 1]
 
     def describe(self) -> str:
         return f"l={self.l},Q={self.Q.format()},q={self.ctx.q}"
-
-
-def _integer_inverse(U):
-    """Exact inverse of a unimodular integer matrix."""
-    k = len(U)
-    M = [[Fraction(U[i][j]) for j in range(k)] + [Fraction(i == j) for j in range(k)] for i in range(k)]
-    for c in range(k):
-        piv = next(r for r in range(c, k) if M[r][c] != 0)
-        M[c], M[piv] = M[piv], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        for r in range(k):
-            if r != c and M[r][c]:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    out = [[M[i][k + j] for j in range(k)] for i in range(k)]
-    assert all(x.denominator == 1 for row in out for x in row)
-    return [[int(x) for x in row] for row in out]
 
 
 def _convolve_at(ctx: FieldCtx, a: tuple, b: tuple, k: int) -> int:
@@ -364,28 +355,47 @@ def poly_coprime(f: Poly, Q: Poly) -> bool:
     return g.deg == 0
 
 
-def residues_mod(ctx: FieldCtx, Q: Poly, n: int) -> np.ndarray:
-    """Residue codes of every f in A_n mod Q, in code order of A_n.
+def _toeplitz(v, rows: int, cols: int) -> np.ndarray:
+    """T[a, a + b] = v[b], cut after column cols: times v on coefficient rows."""
+    T = np.zeros((rows, cols), dtype=np.int64)
+    for a in range(rows):
+        T[a, a : a + len(v)] = v[: cols - a]
+    return T
 
-    Uses linearity: f mod Q = sum_i f_i (t^i mod Q), evaluated with
-    vectorised coefficient tables.
-    """
-    q, m = ctx.q, int(Q.deg)
-    tmod = []
-    r = Poly.one(ctx)
-    t = Poly.t(ctx)
-    for _ in range(n + 1):
-        tmod.append([r.coefficient(j) for j in range(m)])
-        r = (r * t) % Q
-    tails = _sieve.monic_tails(ctx, n)
-    acc = np.zeros((q**n, m), dtype=np.int16)
-    for i in range(n + 1):
-        digit = tails[:, i] if i < n else np.ones(q**n, dtype=np.int16)
-        for j in range(m):
-            c = tmod[i][j]
-            if c:
-                acc[:, j] = ctx.ADD[acc[:, j], _sieve.scale_digits(ctx, c, digit)]
-    return _sieve.digits_to_codes(ctx, acc)
+
+def _tmod_rows(ctx: FieldCtx, Q: Poly, n: int) -> np.ndarray:
+    """(n + 1, deg Q) digits of t^k mod Q for k = 0..n."""
+    m = int(Q.deg)
+    rows = np.zeros((n + 1, m + 1), dtype=np.int64)  # column m takes the carry
+    rows[0, 0] = 1
+    low = ctx.NEG[[Q.coefficient(j) for j in range(m)]]  # t^m = -(Q - t^m) mod Q
+    for k in range(1, n + 1):
+        rows[k, 1:] = rows[k - 1, :-1]
+        rows[k, :m] = ctx.ADD[rows[k, :m], ctx.MUL[rows[k, m], low]]
+    return rows[:, :m]
+
+
+# Cap on the bytes of residue tables kept in _RESIDUES.  A table that would
+# take the cache past it is built and returned all the same, but not kept.
+RESIDUES_MAX_BYTES = 1 << 24
+
+_RESIDUES: dict[tuple, np.ndarray] = {}
+
+
+def residues_mod(ctx: FieldCtx, Q: Poly, n: int) -> np.ndarray:
+    """Residue codes of every f in A_n mod Q, in code order of A_n, as a
+    read-only array kept per (Q, n) in _RESIDUES."""
+    key = (ctx, Q.code, n)
+    res = _RESIDUES.get(key)
+    if res is None:
+        from .quadform import fq_matmul
+
+        digits = _sieve.monic_digit_matrix(ctx, n)  # f mod Q = sum_k f_k (t^k mod Q)
+        res = _sieve.digits_to_codes(ctx, fq_matmul(ctx, digits, _tmod_rows(ctx, Q, n)))
+        res.flags.writeable = False
+        if sum(r.nbytes for r in _RESIDUES.values()) + res.nbytes <= RESIDUES_MAX_BYTES:
+            _RESIDUES[key] = res
+    return res
 
 
 def build_group(ctx: FieldCtx, l: int, Q: Poly, budget: int = 100_000) -> HayesGroup:
@@ -444,36 +454,35 @@ def l_polynomial(
 ) -> LPolynomial:
     """Coefficients c_n = sum_{f in A_n} lambda(f) and the roots of the
     resulting polynomial; asserts the degree bound c_n ~ 0 for
-    n >= l + deg Q."""
+    n >= l + deg Q.  Kept on the group per (character, n_max, tol)."""
     if char.is_principal:
         raise ValueError("l_polynomial is for non-principal characters")
     g = char.group
+    key = (char.char_id, n_max, tol)
+    if key in g._lpolys:
+        return g._lpolys[key]
     bound = g.l + g.m
-    coeffs = [complex(sums[char.char_id, 0]) for sums in g.char_sum_table(n_max, budget=budget)]
+    coeffs = g.char_sum_table(n_max, budget=budget)[:, char.char_id, 0].tolist()
     for n in range(bound, n_max + 1):
         if abs(coeffs[n]) >= tol:
             raise IdentityCheckError(
                 "L-polynomial coefficient above the degree bound",
                 counterexample=f"char {char.char_id} of {g.describe()}, n={n}, |c_n|={abs(coeffs[n]):.3g}",
             )
-    deg = 0
-    for k in range(min(bound - 1, n_max), 0, -1):
-        if abs(coeffs[k]) > tol:
-            deg = k
-            break
+    deg = max((k for k in range(1, min(bound - 1, n_max) + 1) if abs(coeffs[k]) > tol), default=0)
     # the coefficients do not depend on n_max, so the roots are cached per
     # (character, degree)
-    key = (char.char_id, deg)
-    if key not in g._roots_cache:
-        g._roots_cache[key] = np.roots(np.array(coeffs[: deg + 1][::-1], dtype=complex))
-    roots = tuple(g._roots_cache[key])
-    return LPolynomial(
+    roots_key = (char.char_id, deg)
+    if roots_key not in g._roots_cache:
+        g._roots_cache[roots_key] = np.roots(np.array(coeffs[: deg + 1][::-1], dtype=complex))
+    g._lpolys[key] = LPolynomial(
         char_id=char.char_id,
         coeffs=tuple(coeffs),
         degree_bound=bound,
         degree=deg,
-        roots=roots,
+        roots=tuple(g._roots_cache[roots_key]),
     )
+    return g._lpolys[key]
 
 
 def rh_check(char: HayesCharacter, n_max: int | None = None, budget: int = 1_200_000):
@@ -521,9 +530,9 @@ def euler_inverse_check(
         for k in range(1, min(n, lp.degree) + 1):
             acc += c[k] * inv[n - k]
         inv.append(-acc)
+    mu_sums = g.char_sum_table(n_max, budget=budget)[:, char.char_id, 1].tolist()
     rows = []
-    for n in range(n_max + 1):
-        s = complex(g.char_sums(n, budget=budget)[char.char_id, 1])
+    for n, s in enumerate(mu_sums):
         resid = abs(s - inv[n])
         if resid >= tol:
             raise IdentityCheckError(
@@ -543,21 +552,10 @@ def principal_check(ctx: FieldCtx, Q: Poly, n_max: int, budget: int = 1_200_000)
     if q**n_max > budget:
         raise BudgetExceeded(q**n_max, budget, "principal sweep")
     # integer series expansion
-    series = [0] * (n_max + 1)
-    series[0] = 1
-    if n_max >= 1:
-        series[1] = -q
-    degs = [int(p.deg) for p, _ in factorize(Q).factors] if Q.deg != 0 else []
-    for d in degs:
-        out = [0] * (n_max + 1)
-        for n in range(n_max + 1):  # multiply by 1/(1 - z^d) = sum z^(kd)
-            acc = 0
-            k = 0
-            while n - k * d >= 0:
-                acc += series[n - k * d]
-                k += 1
-            out[n] = acc
-        series = out
+    series = ([1, -q] + [0] * n_max)[: n_max + 1]
+    for d in [int(p.deg) for p, _ in factorize(Q).factors] if Q.deg != 0 else []:
+        for n in range(d, n_max + 1):  # multiply by 1/(1 - z^d) = sum z^(kd)
+            series[n] += series[n - d]
     sieve = _sieve.get_sieve(ctx, max(n_max, 1))
     rows = []
     for n in range(n_max + 1):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -89,3 +90,62 @@ def test_element_codes_closed(F9):
         for b in range(F9.q):
             assert 0 <= F9.add(a, b) < F9.q
             assert 0 <= F9.mul(a, b) < F9.q
+
+
+def fp_mul(a: tuple, b: tuple, p: int) -> tuple:
+    """Product in F_p[x] of coefficient tuples, constant first."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def scalar_tables(ctx):
+    """The element-by-element table builder, kept as the oracle of the
+    vectorised one: power-basis digits, F_p[x] products reduced by the
+    modulus, inverses by search, traces by repeated p-th powers."""
+    from ffmobius.fields import _fp_mod
+
+    p, s, q = ctx.p, ctx.s, ctx.q
+
+    def digits(code):
+        return tuple(code // p**i % p for i in range(s))
+
+    def code(ds):
+        return sum(int(d) * p**i for i, d in enumerate(ds))
+
+    dig = [digits(a) for a in range(q)]
+    add = np.zeros((q, q), dtype=np.int64)
+    mul = np.zeros((q, q), dtype=np.int64)
+    for a in range(q):
+        for b in range(a, q):
+            add[a, b] = add[b, a] = code((x + y) % p for x, y in zip(dig[a], dig[b]))
+            prod = _fp_mod(fp_mul(dig[a], dig[b], p), ctx.modulus, p)
+            mul[a, b] = mul[b, a] = code(prod)
+    neg = np.array([code((-x) % p for x in dig[a]) for a in range(q)], dtype=np.int64)
+    inv = np.zeros(q, dtype=np.int64)
+    for a in range(1, q):
+        inv[a] = next(b for b in range(1, q) if mul[a, b] == 1)
+    trace = np.zeros(q, dtype=np.int64)
+    for a in range(q):
+        x, acc = a, a
+        for _ in range(s - 1):
+            x = ctx._pow_raw(x, p, mul)
+            acc = add[acc, x]
+        trace[a] = acc
+    return {"ADD": add, "SUB": add[:, neg], "MUL": mul, "NEG": neg, "INV": inv, "TRACE": trace}
+
+
+@pytest.mark.parametrize("ps", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)],
+                         ids=lambda ps: "q={}".format(ps[0] ** ps[1]))
+def test_tables_match_scalar_builder(ps):
+    ctx = get_field(*ps)
+    for name, want in scalar_tables(ctx).items():
+        got = getattr(ctx, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name

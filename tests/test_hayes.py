@@ -2,6 +2,7 @@ import hashlib
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ffmobius.hayes import (
     principal_check,
     rh_check,
 )
+from ffmobius.snf import smith_normal_form
 
 
 def P(ctx, text):
@@ -430,3 +432,139 @@ def test_hayes_survey_script_smoke(tmp_path):
     for name in ("hayes-coeffs-q2.csv", "hayes-roots-q2.csv", "hayes-charsums-q2.csv"):
         lines = (tmp_path / name).read_text().splitlines()
         assert len(lines) > 1, name  # a header and at least one row
+
+
+# -- the index-map walk, the residue cache and the exact degree bound ------------
+
+SMALL_GROUPS = [((2, 1), 2, "1,1,1"), ((2, 1), 1, "0,0,1,1"), ((3, 1), 1, "2,1,1"), ((3, 1), 2, "0,1"),
+                ((2, 2), 1, "1,0,1"), ((5, 1), 1, "1,1"), ((2, 3), 1, "0,1"), ((3, 2), 0, "1,0,1"),
+                ((3, 1), 0, "1")]
+
+
+def small_group(ps, l, Qtext):
+    ctx = get_field(*ps)
+    return build_group(ctx, l, P(ctx, Qtext))
+
+
+@pytest.mark.parametrize("case", SMALL_GROUPS, ids=lambda c: "q={}^{},l={},Q={}".format(*c[0], *c[1:]))
+def test_mul_by_matches_mul_class(case):
+    g = small_group(*case)
+    for j, ej in enumerate(g.elements):
+        want = [g.index[g.mul_class(ei, ej)] for ei in g.elements]
+        assert g._mul_by(j).tolist() == want, j
+
+
+def integer_inverse(U):
+    """Exact inverse of a unimodular integer matrix, by Gauss-Jordan over Q."""
+    k = len(U)
+    M = [[Fraction(U[i][j]) for j in range(k)] + [Fraction(i == j) for j in range(k)] for i in range(k)]
+    for c in range(k):
+        piv = next(r for r in range(c, k) if M[r][c] != 0)
+        M[c], M[piv] = M[piv], M[c]
+        pivot = M[c][c]
+        M[c] = [x / pivot for x in M[c]]
+        for r in range(k):
+            if r != c and M[r][c]:
+                f = M[r][c]
+                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
+    return [[int(M[i][k + j]) for j in range(k)] for i in range(k)]
+
+
+def poly_walk_structure(g):
+    """The group walk on HayesClass objects through mul_class: generator
+    peeling with a dict of exponent tuples, invariant generators as
+    products of generator powers."""
+    mul = g.mul_class
+
+    def power(x, e):
+        r = g.identity
+        for _ in range(e):
+            r = mul(r, x)
+        return r
+
+    dlog, gens, rel_rows = {g.identity: ()}, [], []
+    for cand in g.elements:
+        if cand in dlog:
+            continue
+        i = len(gens)
+        gens.append(cand)
+        old = dict(dlog)
+        x, e = cand, 1
+        while x not in old:
+            x, e = mul(x, cand), e + 1
+        w = old[x]
+        rel_rows.append([-(w[j] if j < len(w) else 0) for j in range(i)] + [e])
+        for h, vec in old.items():
+            acc = h
+            for k in range(1, e):
+                acc = mul(acc, cand)
+                dlog[acc] = vec + (0,) * (i - len(vec)) + (k,)
+    k = len(gens)
+    R = [[rel_rows[j][i] if i < len(rel_rows[j]) else 0 for j in range(k)] for i in range(k)]
+    D, U, _ = smith_normal_form(R)
+    diag = [D[i][i] for i in range(k)]
+    keep = [i for i, d in enumerate(diag) if d > 1]
+    dlog_y = np.zeros((g.order, len(keep)), dtype=np.int64)
+    for elem, vec in dlog.items():
+        x = list(vec) + [0] * (k - len(vec))
+        y = [sum(U[i][t] * x[t] for t in range(k)) for i in range(k)]
+        dlog_y[g.index[elem]] = [y[i] % diag[i] for i in keep]
+    inv = integer_inverse(U) if k else []
+    structure = []
+    for j in keep:
+        elem = g.identity
+        for i in range(k):
+            elem = mul(elem, power(gens[i], inv[i][j] % g.order))
+        structure.append((g.index[elem], diag[j]))
+    return gens, tuple(diag[i] for i in keep), dlog_y, structure
+
+
+@pytest.mark.parametrize("case", SMALL_GROUPS, ids=lambda c: "q={}^{},l={},Q={}".format(*c[0], *c[1:]))
+def test_structure_matches_poly_walk(case):
+    g = small_group(*case)
+    gens, factors, dlog_y, structure = poly_walk_structure(g)
+    assert g.generators == gens
+    assert g.invariant_factors == factors
+    assert g.dlog_y.dtype == np.int64 and np.array_equal(g.dlog_y, dlog_y)
+    assert g.structure == structure
+
+
+def test_residue_table_cached_and_capped(monkeypatch, F3, F4):
+    cases = [(F3, "2,1,1", 4), (F3, "1,0,2,1", 3), (F4, "2,1", 3), (F4, "0,1,1", 2)]
+    want = {}
+    for ctx, Qtext, n in cases:
+        Q = P(ctx, Qtext)
+        want[ctx, Qtext, n] = [(Poly.from_code(ctx, c) % Q).code for c in range(ctx.q**n, 2 * ctx.q**n)]
+    for cap in (hayes.RESIDUES_MAX_BYTES, 0):
+        monkeypatch.setattr(hayes, "RESIDUES_MAX_BYTES", cap)
+        monkeypatch.setattr(hayes, "_RESIDUES", {})
+        for ctx, Qtext, n in cases:
+            Q = P(ctx, Qtext)
+            res = hayes.residues_mod(ctx, Q, n)
+            assert res.tolist() == want[ctx, Qtext, n]
+            assert not res.flags.writeable
+            assert (hayes.residues_mod(ctx, Q, n) is res) == (cap > 0)
+        g = build_group(F3, 1, P(F3, "2,1,1"))
+        weights = [np.stack(g.class_weights(n)) for n in range(5)]
+        principal = principal_check(F3, P(F3, "2,1,1"), 5)
+        if cap:
+            kept = (weights, principal)
+            assert hayes._RESIDUES
+        else:
+            assert hayes._RESIDUES == {}
+            assert all(np.array_equal(a, b) for a, b in zip(weights, kept[0]))
+            assert principal == kept[1]
+
+
+@pytest.mark.parametrize("ps,l,Qtext", [((2, 1), 1, "0,1"), ((3, 1), 1, "1,1"), ((2, 2), 0, "1,1,1")])
+def test_one_changed_class_count_breaks_degree_bound(ps, l, Qtext):
+    # c_n = sum over classes of count * lambda: one more f in any class moves
+    # c_n by a root of unity, which the degree-bound check must catch
+    for cid in (1, -1):
+        g = small_group(ps, l, Qtext)
+        n = l + g.m
+        count, _, _ = g.class_weights(n)
+        count[g.order // 2] += 1
+        char = list(g.characters())[cid]
+        with pytest.raises(IdentityCheckError, match="degree bound"):
+            l_polynomial(char, n + 1)
