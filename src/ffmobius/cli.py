@@ -355,7 +355,14 @@ def run_linear_corr(ctx, cfg, rng):
     return ["n", "domain", "phase", "re_sum", "im_sum", "abs", "empirical_exponent", "terms", "hist"], rows
 
 
+def _nonnegative(cfg, *keys):
+    for key in keys:
+        if cfg[key] < 0:
+            raise UsageError(f"--{key} {cfg[key]} must be >= 0")
+
+
 def run_quad_corr(ctx, cfg, rng):
+    _nonnegative(cfg, "n")
     n = cfg["n"]
     rows = []
     for trial in range(cfg["trials"]):
@@ -409,6 +416,7 @@ def run_vaughan_audit(ctx, cfg, rng):
 def run_gauss_sums(ctx, cfg, rng):
     if ctx.p == 2:
         raise CharacteristicError("gauss-sums requires odd characteristic (p > 2)")
+    _nonnegative(cfg, "n")
     n = cfg["n"]
     rows = []
     for trial in range(cfg["trials"]):
@@ -423,6 +431,7 @@ def run_gauss_sums(ctx, cfg, rng):
 
 
 def run_isotropic(ctx, cfg, rng):
+    _nonnegative(cfg, "n", "r")
     n, r = cfg["n"], cfg["r"]
     rows = []
     for trial in range(cfg["trials"]):

@@ -3,7 +3,10 @@
 An element code c in [0, q) encodes the power-basis coordinates of the
 element as the base-p digits of c (constant coordinate first).  All
 arithmetic is table driven, so kernels elsewhere can vectorise field
-operations with numpy fancy indexing.
+operations with numpy fancy indexing.  Beside the scalar tables sits the
+F_p digit layer: DIGITS[a] holds the digits of a, and MULMAT[a] is the
+s x s F_p matrix of multiplication by a (column i the digits of a x^i), on
+which every vectorised F_q-linear or F_q-quadratic evaluation is built.
 
 The modulus for s > 1 is the lexicographically smallest monic irreducible
 of degree s over F_p, smallest meaning lowest code with the constant
@@ -153,6 +156,8 @@ class FieldCtx:
         assert (trace < p).all(), "trace outside prime subfield"
         self.ADD, self.SUB, self.MUL = add, sub, mul
         self.NEG, self.INV, self.TRACE = neg, inv, trace
+        self.DIGITS, self.MULMAT = dig, np.ascontiguousarray(xb.transpose(0, 2, 1))
+        self.DIGITS.flags.writeable = self.MULMAT.flags.writeable = False
 
     @staticmethod
     def _pow_raw(a: int, e: int, mul) -> int:

@@ -582,12 +582,16 @@ _COPRIME_MASKS: dict[tuple, np.ndarray] = {}
 
 
 def _coprime_residue_mask(ctx: FieldCtx, Q: Poly) -> np.ndarray:
+    """Invertible residues mod Q: nonzero mod each prime factor of Q."""
     key = (ctx, Q.code)
     if key not in _COPRIME_MASKS:
+        from .quadform import fq_matmul
+
         m = int(Q.deg)
-        tab = np.zeros(ctx.q**m, dtype=bool)
-        for r in range(ctx.q**m):
-            tab[r] = poly_coprime(Poly.from_code(ctx, r), Q)
+        tab = np.ones(ctx.q**m, dtype=bool)
+        digits = _sieve.codes_to_digits(ctx, np.arange(ctx.q**m), m)
+        for P, _ in factorize(Q).factors:
+            tab &= fq_matmul(ctx, digits, _tmod_rows(ctx, P, m - 1)).any(axis=1)
         _COPRIME_MASKS[key] = tab
     return _COPRIME_MASKS[key]
 

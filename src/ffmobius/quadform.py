@@ -4,10 +4,14 @@ Hankel matrices of Laurent series, and dilation compressions.
 A phase is chi_r(x^T M x + b.x + c) with M symmetric; its rank is the rank
 of M.  Everything is exact: matrices hold field codes, elimination uses the
 field tables, and exponential means are assembled from integer exponent
-histograms.  The symmetrised compression (L_a^T M L_b + L_b^T M L_a)/2
-needs odd characteristic; for Hankel matrices the single product
-L_a^T M L_b is already symmetric and is used instead, which keeps the
-characteristic-2 case available where it makes sense.
+histograms.  Products and forms go through the field's digit layer
+(FieldCtx.DIGITS, MULMAT): fq_matmul is one integer matmul on base-p
+digits, and quad_exponents is one F_p quadratic form on the s n base-p
+digits of a code, the form QuadraticPhase compiles for phase_hist, which
+gauss_mean and isotropic_count use.  The symmetrised compression
+(L_a^T M L_b + L_b^T M L_a)/2 needs odd characteristic; for Hankel matrices
+the single product L_a^T M L_b is already symmetric and is used instead,
+which keeps the characteristic-2 case available where it makes sense.
 """
 
 from __future__ import annotations
@@ -115,64 +119,53 @@ def rank(ctx: FieldCtx, M) -> int:
 
 
 def fq_matmul(ctx: FieldCtx, A, B) -> np.ndarray:
-    """Matrix product over F_q (codes in, codes out)."""
+    """Matrix product over F_q (codes in, codes out).
+
+    On base-p digits, multiplying by b is the F_p matrix MULMAT[b], so the
+    digits of (A B)_ij are sum_k MULMAT[B_kj] DIGITS[A_ik] mod p: one integer
+    matmul of A's digits against B's entries expanded into their matrices."""
     A = _as_matrix(ctx, A)
     B = _as_matrix(ctx, B)
-    if ctx.s == 1:
-        return (A @ B) % ctx.p
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for k in range(A.shape[1]):
-        out = ctx.ADD[out, ctx.MUL[A[:, k][:, None], B[k, :][None, :]]]
-    return out
+    (m, k), n, s = A.shape, B.shape[1], ctx.s
+    X = ctx.DIGITS[A].reshape(m, k * s)
+    W = ctx.MULMAT[B].transpose(0, 3, 1, 2).reshape(k * s, n * s)  # rows (k, i), columns (j, t)
+    return (X @ W % ctx.p).reshape(m, n, s) @ ctx.p ** np.arange(s)
 
 
 def quad_exponents(phase: QuadPhase, codes: np.ndarray) -> np.ndarray:
     """omega_p exponents Tr(r (x^T M x + b.x + c)) for the coefficient
-    vectors of the given codes."""
-    ctx = phase.ctx
-    n = phase.n
-    X = _sieve.codes_to_digits(ctx, codes, n)
-    if ctx.s == 1:
-        p = ctx.p
-        r = phase.r % p
-        Xl = X.astype(np.int64)
-        v = ((Xl @ ((r * phase.M) % p)) * Xl).sum(axis=1)
-        v += Xl @ ((r * phase.b) % p)
-        v += r * phase.c
-        return (v % p).astype(np.int64)
-    rM = ctx.MUL[phase.r][phase.M]
-    rb = ctx.MUL[phase.r][phase.b]
-    rc = ctx.mul(phase.r, phase.c)
-    acc = np.full(len(codes), rc, dtype=np.int64)
-    for i in range(n):
-        row = np.zeros(len(codes), dtype=np.int64)
-        for j in range(n):
-            m = int(rM[i, j])
-            if m:
-                row = ctx.ADD[row, ctx.MUL[m][X[:, j]]]
-        if int(rb[i]):
-            row = ctx.ADD[row, rb[i]]
-        acc = ctx.ADD[acc, ctx.MUL[X[:, i], row]]
-    return ctx.TRACE[acc]
+    vectors of the given codes.
+
+    On the N = s n base-p digits y of a code this is y^T A y + b'.y + Tr(r c)
+    mod p, with T[k, l] = Tr(x^k x^l) and tau_t = Tr(x^t): block (i, j) of A
+    is T MULMAT[r M_ij], and b'_i = tau MULMAT[r b_i]."""
+    ctx, n, p, s = phase.ctx, phase.n, phase.ctx.p, phase.ctx.s
+    basis = p ** np.arange(s)  # the codes of x^0, ..., x^(s-1)
+    T = ctx.TRACE[ctx.MUL[basis[:, None], basis]]
+    A = T @ ctx.MULMAT[ctx.MUL[phase.r][phase.M]] % p  # block (i, j) at A[i, j]
+    A = A.transpose(0, 2, 1, 3).reshape(s * n, s * n)
+    b = (ctx.TRACE[basis] @ ctx.MULMAT[ctx.MUL[phase.r][phase.b]] % p).ravel()
+    Y = ctx.DIGITS[_sieve.codes_to_digits(ctx, codes, n)].reshape(len(codes), s * n)
+    v = ((Y @ A) * Y).sum(axis=1) + Y @ b + ctx.TRACE[ctx.mul(phase.r, phase.c)]
+    return v % p
 
 
 def gauss_mean(phase: QuadPhase, budget: int = 1_200_000, tol: float = 1e-9) -> complex:
-    """E over x in F_q^n of the phase, by exhaustive summation.
+    """E over x in F_q^n of the phase, by exhaustive summation (phase_hist).
 
     Asserts the Gauss-sum bound |E| <= q^(-rank/2) and, for a pure form
     (b = 0, r != 0), equality.  Odd characteristic only: the bound's proof
     halves a bilinear form.
     """
+    from .correlations import QuadraticPhase, hist_to_complex, phase_hist
+
     ctx = phase.ctx
     if ctx.p == 2:
         raise CharacteristicError("gauss_mean requires p > 2")
     q, n = ctx.q, phase.n
     if q**n > budget:
         raise BudgetExceeded(q**n, budget, "F_q^n sweep")
-    exps = quad_exponents(phase, np.arange(q**n, dtype=np.int64))
-    hist = np.bincount(exps, minlength=ctx.p).astype(np.int64)
-    omega = np.exp(2j * np.pi * np.arange(ctx.p) / ctx.p)
-    mean = complex(hist @ omega) / q**n
+    mean = hist_to_complex(ctx, phase_hist(ctx, QuadraticPhase(phase), n, 0, q**n)) / q**n
     bound = float(q) ** (-phase.effective_rank() / 2)
     if abs(mean) > bound + tol:
         raise IdentityCheckError(
@@ -188,22 +181,26 @@ def gauss_mean(phase: QuadPhase, budget: int = 1_200_000, tol: float = 1e-9) -> 
 
 
 def isotropic_count(ctx: FieldCtx, forms, n: int, budget: int = 1_200_000):
-    """Common zeros of pure quadratic forms over F_p^n, with the lower bound
-    (1 - p^(-1/2)) p^(n - 2 r (r+1)).  Returns (count, bound)."""
+    """Common zeros of pure quadratic forms (symmetric matrices) over F_p^n,
+    with the lower bound (1 - p^(-1/2)) p^(n - 2 r (r+1)).  Returns (count,
+    bound).  Each form is evaluated by quad_exponents, a span of at most
+    CHUNK codes at a time."""
+    from .correlations import CHUNK
+
     if ctx.s != 1:
         raise ValueError("isotropic counting is over prime fields")
     p = ctx.p
     if p**n > budget:
         raise BudgetExceeded(p**n, budget, "F_p^n sweep")
-    X = _sieve.monic_tails(ctx, n).astype(np.int64)
-    ok = np.ones(p**n, dtype=bool)
-    r = 0
-    for M in forms:
-        M = _as_matrix(ctx, M)
-        vals = ((X @ M) * X).sum(axis=1) % p
-        ok &= vals == 0
-        r += 1
-    count = int(ok.sum())
+    phases = [QuadPhase(ctx, M, np.zeros(n, dtype=np.int64)) for M in forms]
+    count = 0
+    for a in range(0, p**n, CHUNK):
+        codes = np.arange(a, min(a + CHUNK, p**n))
+        ok = np.ones(len(codes), dtype=bool)
+        for ph in phases:
+            ok &= quad_exponents(ph, codes) == 0
+        count += int(ok.sum())
+    r = len(phases)
     bound = (1 - p**-0.5) * float(p) ** (n - 2 * r * (r + 1))
     if count < bound:
         raise IdentityCheckError(
@@ -215,22 +212,13 @@ def isotropic_count(ctx: FieldCtx, forms, n: int, budget: int = 1_200_000):
 
 def hankel_matrix(alpha: LaurentSeries, n: int) -> np.ndarray:
     """Matrix of f -> (alpha f^2)_{-1} on G_n: entries alpha_(-1-i-j)."""
-    ctx = alpha.ctx
-    M = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i, n):
-            v = alpha.coefficient(-1 - i - j)
-            M[i, j] = M[j, i] = v
-    return M
+    coeffs = np.array([alpha.coefficient(-1 - k) for k in range(2 * n - 1)], dtype=np.int64)
+    return coeffs[np.add.outer(np.arange(n), np.arange(n))]
 
 
 def is_hankel(M: np.ndarray) -> bool:
-    n = M.shape[0]
-    for s in range(2 * n - 1):
-        vals = {int(M[i, s - i]) for i in range(max(0, s - n + 1), min(n, s + 1))}
-        if len(vals) > 1:
-            return False
-    return True
+    """Whether M is constant along each antidiagonal i + j."""
+    return bool((M[1:, :-1] == M[:-1, 1:]).all())
 
 
 def dilation_matrix(ctx: FieldCtx, a: Poly, n: int, k: int) -> np.ndarray:

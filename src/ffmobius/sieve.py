@@ -113,24 +113,15 @@ def scale_digits(ctx: FieldCtx, c: int, digits: np.ndarray) -> np.ndarray:
 CHUNK_ENTRIES = 1 << 16
 
 
-def _base_p(ctx: FieldCtx, digits: np.ndarray) -> np.ndarray:
-    """Base-p digits of rows of F_q digits: (k, w) -> (k, s w), as float32.
-
-    A code's base-p digits are exactly these, since q^i = p^(s i)."""
-    p, s = ctx.p, ctx.s
-    table = (np.arange(ctx.q)[:, None] // p ** np.arange(s)) % p
-    return np.take(table.astype(np.float32), digits, axis=0).reshape(len(digits), -1)
-
-
 def _pair_codes(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) codes of the products of the digit rows of a and b.
 
     Multiplication by a fixed polynomial is F_p-linear on base-p digits, so
-    for each row of the smaller side its matrix (a Toeplitz matrix of the
-    row scaled by the power-basis elements x^l) is built, and one batched
-    matmul applies all of them to the other side.  The digit sums are small
-    integers, exact in float32; they are reduced mod p and read back as
-    codes, exact in float64 (codes index arrays, so they are far below 2^53).
+    for each row of the smaller side its matrix (block Toeplitz in the
+    MULMAT blocks of the row's coefficients) is built, and one batched
+    matmul applies all of them to the other side's DIGITS.  The digit sums
+    are small integers, exact in float32; they are reduced mod p and read
+    back as codes, exact in float64 (codes index arrays, so far below 2^53).
     """
     if len(a) > len(b):
         return _pair_codes(ctx, b, a).T
@@ -138,11 +129,11 @@ def _pair_codes(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     wa, wb = a.shape[1], b.shape[1]
     width = s * (wa + wb - 1)
     mats = np.zeros((len(a), s * wb, width), dtype=np.float32)
-    for l in range(s):
-        scaled = _base_p(ctx, np.take(ctx.MUL[p**l], a) if l else a)
-        for j in range(wb):
-            mats[:, s * j + l, s * j : s * (j + wa)] = scaled
-    digit_sums = (_base_p(ctx, b) @ mats).astype(np.int32)
+    scaled = ctx.MULMAT[a].transpose(0, 3, 1, 2).reshape(len(a), s, wa * s).astype(np.float32)
+    for j in range(wb):
+        mats[:, s * j : s * (j + 1), s * j : s * (j + wa)] = scaled
+    b_digits = np.take(ctx.DIGITS.astype(np.float32), b, axis=0).reshape(len(b), s * wb)
+    digit_sums = (b_digits @ mats).astype(np.int32)
     digits = digit_sums & 1 if p == 2 else digit_sums % p
     return (digits @ float(p) ** np.arange(width)).astype(np.int64)
 

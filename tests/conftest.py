@@ -26,3 +26,23 @@ def F5():
 @pytest.fixture(scope="session")
 def F9():
     return get_field(3, 2)
+
+
+@pytest.fixture(scope="session")
+def F7():
+    return get_field(7)
+
+
+@pytest.fixture(scope="session")
+def F8():
+    return get_field(2, 3)
+
+
+@pytest.fixture(scope="session")
+def F25():
+    return get_field(5, 2)
+
+
+@pytest.fixture(scope="session")
+def F27():
+    return get_field(3, 3)

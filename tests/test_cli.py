@@ -193,6 +193,33 @@ def test_rank_stats_k_above_n_names_the_flag():
     assert "negative dimensions" not in res.stderr
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["gauss-sums", "--field", "3", "--n", "-1"], "--n -1"),
+    (["quad-corr", "--field", "3", "--n", "-2"], "--n -2"),
+    (["isotropic", "--field", "3", "--n", "-1"], "--n -1"),
+    (["isotropic", "--field", "3", "--n", "4", "--r", "-1"], "--r -1"),
+], ids=["gauss-n", "quad-n", "isotropic-n", "isotropic-r"])
+def test_negative_size_names_the_flag(args, flag, capsys):
+    import ffmobius.cli as cli
+
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be >= 0\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["gauss-sums", "--field", "3", "--n", "0"],
+    ["quad-corr", "--field", "3", "--n", "0"],
+    ["isotropic", "--field", "3", "--n", "0"],
+    ["isotropic", "--field", "3", "--n", "3", "--r", "0"],
+], ids=["gauss-n", "quad-n", "isotropic-n", "isotropic-r"])
+def test_zero_size_accepted(args, capsys):
+    import ffmobius.cli as cli
+
+    assert cli.main(args + ["--trials", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4  # header, columns, two trials
+
+
 @pytest.mark.parametrize("args", [
     ["linear-corr", "--field", "2", "--n", "3", "--alpha", "5:1"],
     ["hankel-corr", "--field", "3", "--n", "2", "--alpha", "-1:1,1,1,1", "--beta", "0:1,1,1"],

@@ -149,3 +149,21 @@ def test_tables_match_scalar_builder(ps):
     for name, want in scalar_tables(ctx).items():
         got = getattr(ctx, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("ps", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)],
+                         ids=lambda ps: "q={}".format(ps[0] ** ps[1]))
+def test_digit_layer_matches_scalar_builder(ps):
+    ctx = get_field(*ps)
+    p, s, q = ctx.p, ctx.s, ctx.q
+    mul = scalar_tables(ctx)["MUL"]
+    units = p ** np.arange(s)  # the codes of x^0, ..., x^(s-1)
+    assert ctx.DIGITS.shape == (q, s) and ctx.MULMAT.shape == (q, s, s)
+    for tab in (ctx.DIGITS, ctx.MULMAT):
+        assert tab.min() >= 0 and tab.max() < p and not tab.flags.writeable
+    assert np.array_equal(ctx.DIGITS @ units, np.arange(q))
+    # column i of MULMAT[a] holds the digits of a x^i
+    assert np.array_equal(np.einsum("ati,t->ai", ctx.MULMAT, units), mul[:, units])
+    # and MULMAT[a] applied to the digits of b gives the digits of a b
+    prods = np.einsum("ati,bi->abt", ctx.MULMAT, ctx.DIGITS) % p
+    assert np.array_equal(prods, ctx.DIGITS[mul])

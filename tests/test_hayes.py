@@ -568,3 +568,14 @@ def test_one_changed_class_count_breaks_degree_bound(ps, l, Qtext):
         char = list(g.characters())[cid]
         with pytest.raises(IdentityCheckError, match="degree bound"):
             l_polynomial(char, n + 1)
+
+
+@pytest.mark.parametrize("ps, max_deg", [((2, 1), 4), ((3, 1), 3), ((2, 2), 2), ((5, 1), 2), ((2, 3), 2), ((3, 2), 1)],
+                         ids=lambda v: "q={}".format(v[0] ** v[1]) if isinstance(v, tuple) else None)
+def test_coprime_residue_mask_matches_gcd(ps, max_deg):
+    # the mask comes from the prime factors of Q; poly_coprime takes one gcd per residue
+    ctx = get_field(*ps)
+    for code in range(1, 2 * ctx.q**max_deg):
+        Q = Poly.from_code(ctx, code)
+        want = [hayes.poly_coprime(Poly.from_code(ctx, r), Q) for r in range(ctx.q ** int(Q.deg))]
+        assert hayes._coprime_residue_mask(ctx, Q).tolist() == want, Q

@@ -273,3 +273,107 @@ def test_rank_stats(F2, F3):
     s1 = rank_stats(F3, M3, 2, 1, mode="sampled", samples=50, seed=9)
     s2 = rank_stats(F3, M3, 2, 1, mode="sampled", samples=50, seed=9)
     assert s1.histogram == s2.histogram and s1.density == s2.density
+
+
+ORACLE_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F25", "F27"]
+
+
+def scalar_matmul(ctx, A, B):
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i, j in np.ndindex(*out.shape):
+        acc = 0
+        for k in range(A.shape[1]):
+            acc = ctx.add(acc, ctx.mul(int(A[i, k]), int(B[k, j])))
+        out[i, j] = acc
+    return out
+
+
+def scalar_quad_exponent(phase, code):
+    """Tr(r (x^T M x + b.x + c)) for the coefficient vector of one code,
+    element by element with the scalar field operations."""
+    ctx, n = phase.ctx, phase.n
+    x = [code // ctx.q**i % ctx.q for i in range(n)]
+    acc = phase.c
+    for i in range(n):
+        row = int(phase.b[i])
+        for j in range(n):
+            row = ctx.add(row, ctx.mul(int(phase.M[i, j]), x[j]))
+        acc = ctx.add(acc, ctx.mul(x[i], row))
+    return ctx.trace(ctx.mul(phase.r, acc))
+
+
+def random_symmetric(rng, q, n):
+    M = rng.integers(0, q, size=(n, n))
+    return (np.triu(M) + np.triu(M, 1).T) % q
+
+
+@pytest.mark.parametrize("name", ORACLE_FIELDS)
+def test_fq_matmul_matches_scalar_loop(name, request):
+    ctx = request.getfixturevalue(name)
+    rng = np.random.default_rng(ctx.q)
+    for m, k, n in [(1, 1, 1), (3, 0, 2), (0, 2, 3), (4, 3, 5), (9, 5, 2), (2, 6, 8)]:
+        A = rng.integers(0, ctx.q, size=(m, k))
+        B = rng.integers(0, ctx.q, size=(k, n))
+        C = fq_matmul(ctx, A, B)
+        assert C.shape == (m, n) and C.dtype == np.int64
+        assert np.array_equal(C, scalar_matmul(ctx, A, B))
+
+
+@pytest.mark.parametrize("name", ORACLE_FIELDS)
+def test_quad_exponents_matches_scalar_loop(name, request):
+    ctx = request.getfixturevalue(name)
+    q = ctx.q
+    rng = np.random.default_rng(100 + q)
+    for n in range(4):
+        codes = np.arange(q**n) if q**n <= 200 else rng.integers(0, q**n, size=200)
+        M = random_symmetric(rng, q, n)
+        b = rng.integers(0, q, size=n)
+        c = int(rng.integers(1, q))
+        for phase in (
+            QuadPhase(ctx, M, b, c, int(rng.integers(1, q))),
+            QuadPhase(ctx, M, b, c, 0),  # r = 0: every exponent is 0
+            QuadPhase(ctx, M, np.zeros(n, dtype=int), 0, 1),
+        ):
+            got = quad_exponents(phase, codes)
+            want = [scalar_quad_exponent(phase, int(code)) for code in codes]
+            assert got.dtype == np.int64 and got.tolist() == want, phase.describe()
+
+
+@pytest.mark.parametrize("name", ["F3", "F5", "F7", "F9", "F25", "F27"])
+def test_gauss_mean_matches_exhaustive_histogram(name, request):
+    ctx = request.getfixturevalue(name)
+    p, q = ctx.p, ctx.q
+    omega = np.exp(2j * np.pi * np.arange(p) / p)
+    rng = np.random.default_rng(200 + q)
+    n = 0
+    while q**n <= 729:
+        for trial in range(3):
+            b = rng.integers(0, q, size=n) if trial else np.zeros(n, dtype=int)
+            phase = QuadPhase(ctx, random_symmetric(rng, q, n), b, int(rng.integers(0, q)),
+                              int(rng.integers(0, q)))
+            hist = np.bincount(quad_exponents(phase, np.arange(q**n)), minlength=p)
+            assert gauss_mean(phase) == complex(hist @ omega) / q**n, phase.describe()
+        n += 1
+
+
+def test_isotropic_count_matches_bruteforce(monkeypatch, F2, F3, F5, F7):
+    import itertools
+
+    import ffmobius.correlations as corr
+
+    monkeypatch.setattr(corr, "CHUNK", 7)  # spans split once p^n > 7
+    rng = np.random.default_rng(31)
+    for ctx in (F2, F3, F5, F7):
+        p = ctx.p
+        for n in range(5):
+            if p**n > 2500:
+                break
+            for r in range(3):
+                forms = [random_symmetric(rng, p, n) for _ in range(r)]
+                want = sum(
+                    all(sum(x[i] * int(M[i, j]) * x[j] for i in range(n) for j in range(n)) % p == 0
+                        for M in forms)
+                    for x in itertools.product(range(p), repeat=n)
+                )
+                count, bound = isotropic_count(ctx, forms, n)
+                assert count == want and bound == (1 - p**-0.5) * float(p) ** (n - 2 * r * (r + 1))
