@@ -88,45 +88,77 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Every subcommand takes COMMON_FLAGS and then its own flags, all with
+# default None so that resolve_config can layer the config file beneath them.
+COMMON_FLAGS = (
+    ("--field", str),
+    ("--budget", int),
+    ("--seed", int),
+    ("--out", str),
+    ("--format", str),
+    ("--workers", int),
+    ("--config", str),
+)
+
+SUBCOMMAND_FLAGS = {
+    "pnt": (("--lmax", int),),
+    "mobius-sums": (("--nmax", int),),
+    "divisor-moments": (("--nmax", int),),
+    "hayes-lfunc": (("--l", int), ("--Q", str), ("--nmax", int)),
+    "rh-check": (("--l", int), ("--Q", str)),
+    "euler-check": (("--l", int), ("--Q", str), ("--nmax", int)),
+    "principal-check": (("--Q", str), ("--nmax", int)),
+    "logderiv-check": (("--l", int), ("--Q", str), ("--lmax", int)),
+    "linear-corr": (("--n", int), ("--alpha", str), ("--domain", str)),
+    "quad-corr": (("--n", int), ("--trials", int)),
+    "hankel-corr": (("--n", int), ("--alpha", str), ("--beta", str), ("--trials", int)),
+    "vaughan-audit": (("--n", int), ("--u", int), ("--v", int)),
+    "gauss-sums": (("--n", int), ("--trials", int)),
+    "isotropic": (("--n", int), ("--r", int), ("--trials", int)),
+    "rank-stats": (("--n", int), ("--k", int), ("--h", int), ("--mode", str), ("--samples", int)),
+    "exponent-sweep": (("--experiment", str), ("--nmin", int), ("--nmax", int), ("--samples", int)),
+}
+
+# config key -> the type of its flag (a flag has the same type in every subcommand)
+FLAG_TYPES = {
+    flag[2:]: kind
+    for opts in (COMMON_FLAGS, *SUBCOMMAND_FLAGS.values())
+    for flag, kind in opts
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand registered.  When only names a
+    subcommand, only that subparser gets its flags: building the other
+    fifteen would cost a cold run more than parsing does, and argparse
+    never consults them."""
     ap = argparse.ArgumentParser(prog="ffmobius", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, *opts):
+    for name, opts in SUBCOMMAND_FLAGS.items():
         sp = sub.add_parser(name)
-        for flag, kind in [
-            ("--field", str),
-            ("--budget", int),
-            ("--seed", int),
-            ("--out", str),
-            ("--format", str),
-            ("--workers", int),
-            ("--config", str),
-        ] + list(opts):
-            sp.add_argument(flag, type=kind, default=None)
-        return sp
-
-    add("pnt", ("--lmax", int))
-    add("mobius-sums", ("--nmax", int))
-    add("divisor-moments", ("--nmax", int))
-    add("hayes-lfunc", ("--l", int), ("--Q", str), ("--nmax", int))
-    add("rh-check", ("--l", int), ("--Q", str))
-    add("euler-check", ("--l", int), ("--Q", str), ("--nmax", int))
-    add("principal-check", ("--Q", str), ("--nmax", int))
-    add("logderiv-check", ("--l", int), ("--Q", str), ("--lmax", int))
-    add("linear-corr", ("--n", int), ("--alpha", str), ("--domain", str))
-    add("quad-corr", ("--n", int), ("--trials", int))
-    add("hankel-corr", ("--n", int), ("--alpha", str), ("--beta", str), ("--trials", int))
-    add("vaughan-audit", ("--n", int), ("--u", int), ("--v", int))
-    add("gauss-sums", ("--n", int), ("--trials", int))
-    add("isotropic", ("--n", int), ("--r", int), ("--trials", int))
-    add("rank-stats", ("--n", int), ("--k", int), ("--h", int), ("--mode", str), ("--samples", int))
-    add("exponent-sweep", ("--experiment", str), ("--nmin", int), ("--nmax", int), ("--samples", int))
+        if only not in SUBCOMMAND_FLAGS or only == name:
+            for flag, kind in COMMON_FLAGS + opts:
+                sp.add_argument(flag, type=kind, default=None)
     return ap
 
 
 class UsageError(Exception):
     pass
+
+
+def _config_value(key: str, value):
+    """A config-file value as its flag would give it: a string goes through
+    the flag's type, as on the command line; an int flag also takes a JSON
+    integer, and --field a JSON number (main reads it as text)."""
+    kind = FLAG_TYPES[key]
+    if isinstance(value, str):
+        try:
+            return kind(value)
+        except ValueError:
+            raise UsageError(f"config key {key!r}: invalid {kind.__name__} value {value!r}") from None
+    if (type(value) is int and kind is int) or (key == "field" and type(value) in (int, float)):
+        return value
+    raise UsageError(f"config key {key!r}: expected {kind.__name__}, got {json.dumps(value)}")
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -140,6 +172,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        file_cfg = {key: _config_value(key, value) for key, value in file_cfg.items()}
     out = {}
     for key in cli:
         if cli[key] is not None:
@@ -509,8 +542,8 @@ def _join_series_literals(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(_join_series_literals(sys.argv[1:] if argv is None else argv))
+    argv = _join_series_literals(sys.argv[1:] if argv is None else argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = resolve_config(args)
         try:

@@ -8,9 +8,12 @@ on contiguous numpy slices.
 
 The central object is MonicSieve: flat arrays of mu, Lambda (von Mangoldt)
 and tau over all monic codes up to a degree bound.  It is built one degree
-at a time: whole blocks of irreducibles of each lower degree are multiplied
-by all monics of the complementary degree, the first product to reach a code
-recording its smallest factor and quotient, and the multiplicative
+at a time as a linear sieve: a composite f of degree n is P h with P its
+smallest irreducible factor in (degree, code) order exactly when P <= spf(h),
+so deg P <= n/2.  Whole blocks of irreducibles of each degree d <= n/2 are
+multiplied by the monics h of degree n - d whose smallest factor has degree
+>= d, and only the products with P <= spf(h) are kept: each composite is
+written once, with its smallest factor and quotient, and the multiplicative
 recursions then run along those quotients.  A sieve grows by sieving only
 the new degrees.  The per-degree irreducible lists produced on the way
 double as the irreducible enumerator, and each list is checked against the
@@ -98,13 +101,6 @@ def digits_to_codes(ctx: FieldCtx, digits: np.ndarray) -> np.ndarray:
     return digits.astype(np.int64) @ powers
 
 
-def scale_digits(ctx: FieldCtx, c: int, digits: np.ndarray) -> np.ndarray:
-    """Coefficientwise multiplication by the field element c."""
-    if c == 1:
-        return digits
-    return ctx.MUL[c].astype(np.int16)[digits]  # an int16 row keeps the result int16
-
-
 # -- the pairwise-product primitive -------------------------------------------
 
 # Cap on the digit entries (products x output base-p digits) that one
@@ -141,10 +137,8 @@ def _pair_codes(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _product_blocks(ctx: FieldCtx, a: np.ndarray, b: np.ndarray):
     """Yield (i0, j0, codes), codes[i, j] the code of a[i0 + i] * b[j0 + j].
 
-    Blocks come in (row of a, row of b) order and hold at most
-    CHUNK_ENTRIES digit entries; a block spans several rows of a only when
-    it holds all of b, so that the first product of a code met in this
-    order is also the first in row-major order.
+    Blocks hold at most CHUNK_ENTRIES digit entries; a block spans several
+    rows of a only when it holds all of b.
     """
     width = ctx.s * (a.shape[1] + b.shape[1] - 1)
     rows = max(1, CHUNK_ENTRIES // (len(b) * width))
@@ -169,15 +163,17 @@ def poly_times_monics(ctx: FieldCtx, f_digits, m: int) -> np.ndarray:
 class MonicSieve:
     """mu / Lambda / tau and smallest-factor data over monic codes < 2 q^D.
 
-    Degrees are added in increasing order.  For degree n, every product of a
-    degree-d irreducible block with all monics of degree n - d (d < n) is
-    marked in (d, irreducible code, tail) order, the first writer of a code
-    giving its smallest factor spf and the quotient quot; the codes left
-    unmarked are the irreducibles of degree n, checked against the necklace
-    count.  mu, Lambda and tau of degree n then follow from the values at
-    quot.  A sieve of ctx already in _SIEVES with a lower degree bound is
-    extended: its arrays become the low end of the new ones and only the
-    new degrees are sieved.
+    Degrees are added in increasing order.  spf(f) is the least
+    irreducible factor of f in (degree, code) order and quot(f) = f / spf(f).
+    For degree n and each d <= n/2, the degree-d irreducibles P are
+    multiplied by the monics h of degree n - d with deg spf(h) >= d, and a
+    product is kept when deg spf(h) > d or P <= spf(h): exactly then is
+    spf(P h) = P, so every composite of degree n is written once, with
+    spf = P and quot = h.  The codes left unwritten are the irreducibles of
+    degree n, checked against the necklace count.  mu, Lambda and tau of
+    degree n then follow from the values at quot.  A sieve of ctx already
+    in _SIEVES with a lower degree bound is extended: its arrays become the
+    low end of the new ones and only the new degrees are sieved.
     """
 
     _ARRAYS = (
@@ -215,20 +211,23 @@ class MonicSieve:
     def _add_degree(self, n: int):
         ctx = self.ctx
         q = ctx.q
-        for d in range(1, n):
+        for d in range(1, n // 2 + 1):
             irr = self.irr_codes[d]
             m = n - d
-            blocks = _product_blocks(
-                ctx, codes_to_digits(ctx, irr, d + 1), monic_digit_matrix(ctx, m)
-            )
-            for i0, j0, codes in blocks:
-                flat = codes.ravel()
-                fresh = np.flatnonzero(self.spf_deg[flat] == 0)
-                new, first = np.unique(flat[fresh], return_index=True)
-                row, tail = np.divmod(fresh[first], codes.shape[1])
-                self.spf_code[new] = irr[i0 + row]
+            # the cofactors h with deg spf(h) >= d, and the largest P that
+            # is still spf(P h): any P when deg spf(h) > d, else spf(h)
+            h = q**m + np.flatnonzero(self.spf_deg[q**m : 2 * q**m] >= d)
+            bound = np.where(self.spf_deg[h] > d, 2 * q**n, self.spf_code[h])
+            h_digits = monic_digit_matrix(ctx, m)
+            if len(h) < len(h_digits):
+                h_digits = h_digits[h - q**m]
+            for i0, j0, codes in _product_blocks(ctx, codes_to_digits(ctx, irr, d + 1), h_digits):
+                rows, cols = codes.shape
+                i, j = np.nonzero(irr[i0 : i0 + rows, None] <= bound[None, j0 : j0 + cols])
+                new = codes[i, j]
+                self.spf_code[new] = irr[i0 + i]
                 self.spf_deg[new] = d
-                self.quot[new] = q**m + j0 + tail
+                self.quot[new] = h[j0 + j]
         lo, hi = q**n, 2 * q**n
         is_comp = self.spf_deg[lo:hi] != 0
         irr = lo + np.flatnonzero(~is_comp)
@@ -281,7 +280,9 @@ def mobius_over_g(ctx: FieldCtx, n: int, budget: int | None = None) -> np.ndarra
     """mu over all of G_n as an int8 array indexed by code in [0, q^n).
 
     mu is extended off monics by unit invariance: mu(c f) = mu(f) for units c
-    and mu(0) = 0.
+    and mu(0) = 0.  For each unit c the code map x -> code(c x) on [0, q^n)
+    is built once, a digit at a time, and every degree's monic slice of mu
+    is scattered through it.
     """
     key = (ctx, n)
     if key in _MU_G:
@@ -292,17 +293,13 @@ def mobius_over_g(ctx: FieldCtx, n: int, budget: int | None = None) -> np.ndarra
     sieve = get_sieve(ctx, max(n - 1, 1))
     out = np.zeros(q**n, dtype=np.int8)
     for d in range(n):
-        lo, hi = q**d, 2 * q**d
-        vals = sieve.mu[lo:hi]
-        out[lo:hi] = vals
-        if d > 0:
-            digits = monic_digit_matrix(ctx, d)
-            for c in range(2, q):
-                codes = digits_to_codes(ctx, scale_digits(ctx, c, digits))
-                out[codes] = vals
-        else:
-            for c in range(2, q):
-                out[c] = 1
+        out[q**d : 2 * q**d] = sieve.mu[q**d : 2 * q**d]
+    for c in range(2, q):
+        times_c, scaled = ctx.MUL[c].astype(np.int64), np.zeros(1, dtype=np.int64)
+        for i in range(n):  # codes [0, q^(i+1)) from codes [0, q^i): digit i varies slowest
+            scaled = (scaled[None, :] + times_c[:, None] * q**i).ravel()
+        for d in range(n):
+            out[scaled[q**d : 2 * q**d]] = sieve.mu[q**d : 2 * q**d]
     _MU_G[key] = out
     return out
 

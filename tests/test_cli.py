@@ -306,3 +306,78 @@ def test_config_field_may_be_a_number(tmp_path, capsys):
     cfg.write_text(json.dumps({"field": 3}))
     assert cli.main(["pnt", "--config", str(cfg), "--lmax", "3"]) == 0
     assert capsys.readouterr().out.strip().split("\n")[-1] == "3,27,27,1"
+
+
+PARSER_ARGVS = (
+    [[sub, "--help"] for sub in (a[0] for a in SUBCOMMANDS_SMALL)]
+    + [[sub, "--bogus", "1"] for sub in (a[0] for a in SUBCOMMANDS_SMALL)]
+    + [["--help"], []]
+)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda a: " ".join(a) or "no-args")
+def test_parser_output_matches_parser_with_every_flag(argv, monkeypatch, capsys):
+    # main gives flags only to the subcommand it runs; help, usage and
+    # errors must read as from a parser where every subcommand has its flags
+    import ffmobius.cli as cli
+
+    monkeypatch.setenv("COLUMNS", "100")
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    want = outcome(lambda: cli._build_parser().parse_args(argv))
+    assert outcome(lambda: cli.main(list(argv))) == want
+
+
+def test_parser_for_one_subcommand_skips_the_other_flags():
+    import ffmobius.cli as cli
+
+    subparsers = cli._build_parser("pnt")._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(cli.RUNNERS)
+    assert "--lmax" in subparsers["pnt"]._option_string_actions
+    assert "--field" not in subparsers["linear-corr"]._option_string_actions
+
+
+@pytest.mark.parametrize("value, reason", [
+    (None, "expected int, got null"),
+    (True, "expected int, got true"),
+    (4.5, "expected int, got 4.5"),
+    ([4], "expected int, got [4]"),
+    ("4x", "invalid int value '4x'"),
+], ids=["null", "bool", "float", "list", "bad-string"])
+@pytest.mark.parametrize("sub", ["gauss-sums", "linear-corr"])
+def test_config_value_of_wrong_type_names_the_key(sub, value, reason, tmp_path, capsys):
+    import ffmobius.cli as cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": value}))
+    assert cli.main([sub, "--field", "3", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config key 'n': {reason}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("sub", ["gauss-sums", "linear-corr"])
+def test_config_string_goes_through_the_flag_type(sub, tmp_path, capsys):
+    import ffmobius.cli as cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "4", "trials": "2", "alpha": "-1:1,2,0,1,1"}))
+    args = [sub, "--field", "3", "--seed", "3"]
+    assert cli.main(args + ["--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    flags = ["--n", "4"] + (["--trials", "2"] if sub == "gauss-sums" else ["--alpha=-1:1,2,0,1,1"])
+    assert cli.main(args + flags) == 0
+    assert capsys.readouterr().out == from_file
+
+
+def test_config_string_flag_refuses_a_number(tmp_path, capsys):
+    import ffmobius.cli as cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"Q": 3}))
+    assert cli.main(["principal-check", "--field", "3", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: config key 'Q': expected str, got 3\n"

@@ -322,3 +322,63 @@ def test_product_offsets_must_fit_int32(F2):
 
     with pytest.raises(BudgetExceeded):
         _sieve._product_table(F2, 1, 30)
+
+
+@pytest.mark.parametrize("key", [(2, 1, 10), (7, 1, 4), (2, 3, 4)], ids=lambda k: "q={}^{},D={}".format(*k))
+def test_linear_sieve_arrays_match_factorize(key, monkeypatch):
+    # spf is the (degree, code)-least irreducible factor and quot = f / spf;
+    # mu, Lambda and tau follow from the factorisation
+    p, s, D = key
+    ctx = get_field(p, s)
+    monkeypatch.setattr(_sieve, "_SIEVES", {})
+    sv = _sieve.MonicSieve(ctx, D)
+    for d in range(1, D + 1):
+        for code in range(ctx.q**d, 2 * ctx.q**d):
+            f = Poly.from_code(ctx, code)
+            factors = factorize(f).factors
+            spf = factors[0][0]
+            exps = [e for _, e in factors]
+            assert int(sv.spf_code[code]) == spf.code and int(sv.spf_deg[code]) == spf.deg, code
+            assert int(sv.quot[code]) == (f // spf).code, code
+            assert int(sv.mu[code]) == (0 if max(exps) > 1 else (-1) ** len(exps)), code
+            assert int(sv.mangoldt[code]) == (spf.deg if len(factors) == 1 else 0), code
+            assert int(sv.tau[code]) == int(np.prod([e + 1 for e in exps])), code
+
+
+def test_sieve_multiplies_factors_up_to_half_degree(F3, monkeypatch):
+    # a composite of degree n has its smallest factor in degree <= n/2, so no
+    # block multiplies irreducibles of higher degree
+    seen = set()
+    product_blocks = _sieve._product_blocks
+
+    def spy(ctx, a, b):
+        seen.add((a.shape[1] - 1, a.shape[1] + b.shape[1] - 2))  # (d, n)
+        return product_blocks(ctx, a, b)
+
+    monkeypatch.setattr(_sieve, "_SIEVES", {})
+    monkeypatch.setattr(_sieve, "_product_blocks", spy)
+    _sieve.MonicSieve(F3, 8)
+    assert seen == {(d, n) for n in range(2, 9) for d in range(1, n // 2 + 1)}
+
+
+@pytest.mark.parametrize("ps, steps", [((2, 2), (2, 4, 6)), ((5, 1), (2, 3, 5))], ids=["q=4", "q=5"])
+def test_grown_sieve_matches_fresh_in_other_fields(ps, steps, monkeypatch):
+    ctx = get_field(*ps)
+    monkeypatch.setattr(_sieve, "_SIEVES", {})
+    for D in steps:
+        grown = _sieve.get_sieve(ctx, D)
+    monkeypatch.setattr(_sieve, "_SIEVES", {})
+    fresh = _sieve.MonicSieve(ctx, steps[-1])
+    assert sieve_digests(grown) == sieve_digests(fresh)
+
+
+@pytest.mark.parametrize("ps, n", [((3, 1), 6), ((2, 2), 5), ((5, 1), 4), ((3, 2), 3)],
+                         ids=["q=3", "q=4", "q=5", "q=9"])
+def test_mobius_over_g_matches_monic_normalisation(ps, n, monkeypatch):
+    ctx = get_field(*ps)
+    monkeypatch.setattr(_sieve, "_MU_G", {})
+    mu = mobius_over_g(ctx, n)
+    assert mu.shape == (ctx.q**n,) and mu[0] == 0
+    for code in range(1, ctx.q**n):
+        _, f = Poly.from_code(ctx, code).monic()
+        assert int(mu[code]) == mobius(f), code
