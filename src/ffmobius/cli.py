@@ -243,6 +243,12 @@ def _parse_alpha(ctx, text: str, rng, prec: int, flag: str) -> LaurentSeries:
 # that draw nothing never import numpy.random.
 
 
+def _nonnegative(cfg, *keys):
+    for key in keys:
+        if cfg[key] < 0:
+            raise UsageError(f"--{key} {cfg[key]} must be >= 0")
+
+
 def run_pnt(ctx, cfg, rng):
     rows = []
     for l in range(1, cfg["lmax"] + 1):
@@ -275,6 +281,7 @@ def run_mobius_sums(ctx, cfg, rng):
 
 
 def run_divisor_moments(ctx, cfg, rng):
+    _nonnegative(cfg, "nmax")
     rows = []
     taus = {n: (m, r) for n, m, r in max_tau_report(ctx, min(cfg["nmax"], _budget_deg(ctx, cfg)), cfg["budget"])}
     for n in range(1, cfg["nmax"] + 1):
@@ -310,12 +317,11 @@ def _group_from_cfg(ctx, cfg):
 
 def run_hayes_lfunc(ctx, cfg, rng):
     g = _group_from_cfg(ctx, cfg)
-    nmax = cfg["nmax"] if cfg["nmax"] is not None else g.l + g.m + 2
     rows = []
     for char in g.characters():
         if char.is_principal:
             continue
-        lp = l_polynomial(char, nmax, budget=cfg["budget"])
+        lp = l_polynomial(char, cfg["nmax"], budget=cfg["budget"])
         for n, c in enumerate(lp.coeffs):
             rows.append((char.char_id, n, c.real, c.imag, abs(c)))
     return ["lambda_id", "n", "re_cn", "im_cn", "abs_cn"], rows
@@ -334,13 +340,12 @@ def run_rh_check(ctx, cfg, rng):
 
 def run_euler_check(ctx, cfg, rng):
     g = _group_from_cfg(ctx, cfg)
-    nmax = cfg["nmax"] if cfg["nmax"] is not None else g.l + g.m + 2
     rows = []
     logq = np.log(ctx.q)
     for char in g.characters():
         if char.is_principal:
             continue
-        for n, resid, s in euler_inverse_check(char, nmax, budget=cfg["budget"]):
+        for n, resid, s in euler_inverse_check(char, cfg["nmax"], budget=cfg["budget"]):
             expo = float(np.log(abs(s)) / (n * logq)) if abs(s) > 0 and n > 0 else None
             rows.append((char.char_id, n, resid, abs(s), expo))
     return ["lambda_id", "n", "residual", "abs_mu_sum", "empirical_exponent"], rows
@@ -348,10 +353,9 @@ def run_euler_check(ctx, cfg, rng):
 
 def run_principal_check(ctx, cfg, rng):
     Q = Poly.parse(ctx, cfg["Q"])
-    nmax = cfg["nmax"] if cfg["nmax"] is not None else int(Q.deg) + 4
     rows = [
         (n, enum, series, True)
-        for n, enum, series in principal_check(ctx, Q, nmax, budget=cfg["budget"])
+        for n, enum, series in principal_check(ctx, Q, cfg["nmax"], budget=cfg["budget"])
     ]
     return ["n", "enum_sum", "series_coeff", "ok"], rows
 
@@ -368,6 +372,7 @@ def run_logderiv_check(ctx, cfg, rng):
 
 
 def run_linear_corr(ctx, cfg, rng):
+    _nonnegative(cfg, "n")
     n = cfg["n"]
     alpha = _parse_alpha(ctx, cfg["alpha"], rng, n + 1, "--alpha")
     rep = linear_corr(ctx, n, alpha, cfg["domain"], cfg["budget"], cfg["workers"])
@@ -388,12 +393,6 @@ def run_linear_corr(ctx, cfg, rng):
     return ["n", "domain", "phase", "re_sum", "im_sum", "abs", "empirical_exponent", "terms", "hist"], rows
 
 
-def _nonnegative(cfg, *keys):
-    for key in keys:
-        if cfg[key] < 0:
-            raise UsageError(f"--{key} {cfg[key]} must be >= 0")
-
-
 def run_quad_corr(ctx, cfg, rng):
     _nonnegative(cfg, "n")
     n = cfg["n"]
@@ -407,6 +406,7 @@ def run_quad_corr(ctx, cfg, rng):
 
 
 def run_hankel_corr(ctx, cfg, rng):
+    _nonnegative(cfg, "n")
     n = cfg["n"]
     rows = []
     for trial in range(cfg["trials"]):
@@ -419,16 +419,15 @@ def run_hankel_corr(ctx, cfg, rng):
 
 
 def run_vaughan_audit(ctx, cfg, rng):
+    _nonnegative(cfg, "n")
     n = cfg["n"]
-    alpha = sample_torus(ctx, rng(), n + 2)
-    rep = vaughan_decompose(
-        ctx, n, LinearPhase(alpha), cfg["u"], cfg["v"], cfg["budget"], cfg["workers"]
-    )
+    phase = LinearPhase(sample_torus(ctx, rng(), n + 2))
+    rep = vaughan_decompose(ctx, n, phase, cfg["u"], cfg["v"], cfg["budget"], cfg["workers"])
     rows = [
         ("n", n),
         ("u", rep.u),
         ("v", rep.v),
-        ("phase", f"linear:{alpha.format()}"),
+        ("phase", phase.descriptor()),
         ("t1", fmt(rep.t1)),
         ("t2", fmt(rep.t2)),
         ("direct", fmt(rep.direct)),
@@ -439,9 +438,7 @@ def run_vaughan_audit(ctx, cfg, rng):
         ("pointwise_failures", ";".join(p.format() for p in rep.pointwise_failures)),
         ("coefficient_bound_ok", fmt(rep.coefficient_bound_ok)),
     ]
-    for k, ms in type_one_mean_square(
-        ctx, n, LinearPhase(alpha), rep.u + rep.v, cfg["budget"], cfg["workers"]
-    ):
+    for k, ms in type_one_mean_square(ctx, n, phase, rep.u + rep.v, cfg["budget"], cfg["workers"]):
         rows.append((f"t1_mean_square_k{k}", fmt(ms)))
     return ["item", "value"], rows
 
@@ -496,6 +493,7 @@ def run_rank_stats(ctx, cfg, rng):
 
 
 def run_exponent_sweep(ctx, cfg, rng):
+    _nonnegative(cfg, "nmin")
     ns = range(cfg["nmin"], cfg["nmax"] + 1)
     rows = exponent_sweep(
         ctx, cfg["experiment"], ns, cfg["samples"], cfg["seed"], cfg["budget"], cfg["workers"]
@@ -558,11 +556,8 @@ def main(argv=None) -> int:
     except IdentityCheckError as exc:
         print(f"identity violated: {exc}", file=sys.stderr)
         return 1
-    except (BudgetExceeded, PrecisionExceeded, CharacteristicError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceeded, PrecisionExceeded, CharacteristicError, UsageError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # a json.JSONDecodeError is a ValueError
         return 2
 
 

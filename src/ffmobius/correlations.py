@@ -18,7 +18,9 @@ the phase's own `exponents` at O(N^2) probe codes and checking the result
 on further codes; `phase_hist` then evaluates whole code ranges with one
 matrix product per chunk and takes the histogram with a bincount.  The
 per-phase `exponents` methods remain the reference the kernel is tested
-against.
+against.  hankel_corr compares the compiled forms of its two routes, and
+periodic_route_check a table keyed by Hayes class with linear_corr, both
+exactly and without a second kernel pass.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     PrecisionExceeded,
 )
 from .fields import FieldCtx
-from .hayes import class_of
+from .hayes import class_of, head_index, residues_mod
 from .laurent import LaurentSeries, dirichlet_approx, sample_torus
 from .polys import Poly
 from .quadform import QuadPhase, hankel_matrix, quad_exponents
@@ -166,7 +168,7 @@ class HankelPhase(Phase):
         ctx, p = self.ctx, self.ctx.p
         self.require_prec(ncoords)
         X = _sieve.codes_to_digits(ctx, codes, ncoords)
-        wid = 2 * ncoords - 1
+        wid = max(2 * ncoords - 1, 0)
         # digits of f^2 by convolution of f with itself
         S = np.zeros((len(codes), wid), dtype=np.int16)
         for i in range(ncoords):
@@ -491,8 +493,10 @@ def hankel_corr(
     """sum of mu(f) e(alpha f^2 + beta f) over G_n, by explicit squaring.
 
     In odd characteristic the result is cross-validated against the
-    quadratic route through the Hankel matrix of alpha; the two exponent
-    histograms must agree bin by bin.
+    quadratic route through the Hankel matrix of alpha: the two phases must
+    compile to the same F_p form (A, b and c), so their histograms are
+    equal and the kernel runs once.  Only a mismatch runs the quadratic
+    route's histogram, for the error message.
     """
     q = ctx.q
     if q**n > budget:
@@ -507,9 +511,10 @@ def hankel_corr(
             [beta.coefficient(-1 - i) if beta is not None else 0 for i in range(n)],
             dtype=np.int64,
         )
-        qp = QuadPhase(ctx, M, b, 0, 1)
-        hist2 = phase_hist(ctx, QuadraticPhase(qp), n, 0, q**n, mu, workers)
-        if not np.array_equal(hist, hist2):
+        quad = QuadraticPhase(QuadPhase(ctx, M, b, 0, 1))
+        f1, f2 = phase.form(n), quad.form(n)
+        if not (np.array_equal(f1.A, f2.A) and np.array_equal(f1.b, f2.b) and f1.c == f2.c):
+            hist2 = phase_hist(ctx, quad, n, 0, q**n, mu, workers)
             raise IdentityCheckError(
                 "hankel and quadratic routes disagree",
                 counterexample=f"n={n}, alpha={alpha.format()}, "
@@ -558,16 +563,14 @@ def periodic_corr(ctx: FieldCtx, n: int, l: int, Q: Poly, F, budget: int = 1_200
     return total
 
 
-def periodic_route_check(
-    ctx: FieldCtx,
-    n: int,
-    alpha: LaurentSeries,
-    budget: int = 1_200_000,
-    tol: float = 1e-9,
-):
+def periodic_route_check(ctx: FieldCtx, n: int, alpha: LaurentSeries, budget: int = 1_200_000):
     """Dirichlet-approximate alpha, audit that e(alpha f) only depends on the
     class of f mod (l, g) with l = n - floor(n/2) - deg g, then compare the
     periodic-function route against the direct linear sum.
+
+    The exponents are scattered into a table by Hayes class key
+    (hayes.head_index) and must read back unchanged; the mu-weighted
+    histogram of the table at the keys must equal linear_corr's over A_n.
 
     Returns (direct sum, periodic sum, l, g)."""
     ra = dirichlet_approx(alpha, n)
@@ -577,27 +580,27 @@ def periodic_route_check(
     if q**n > budget:
         raise BudgetExceeded(q**n, budget, "A_n sweep")
     exps = LinearPhase(alpha).exponents(n + 1, np.arange(q**n, 2 * q**n, dtype=np.int64))
-    table: dict = {}
-    for j in range(q**n):
-        f = Poly.from_code(ctx, q**n + j)
-        cls = class_of(f, l, g)
-        e = int(exps[j])
-        if cls in table and table[cls] != e:
-            raise IdentityCheckError(
-                "e(alpha f) is not constant on classes mod (l, g)",
-                counterexample=f"alpha={alpha.format()}, f={f!r}, l={l}, g={g!r}",
-            )
-        table[cls] = e
-    omega = np.exp(2j * np.pi / ctx.p)
-    F = {cls: omega**e for cls, e in table.items()}
-    periodic = periodic_corr(ctx, n, l, g, F, budget)
-    direct = linear_corr(ctx, n, alpha, "A", budget).sum(ctx)
-    if abs(direct - periodic) > tol:
+    keys = residues_mod(ctx, g, n) * q**l + head_index(ctx, l, n)
+    table = np.zeros(q ** (int(g.deg) + l), dtype=np.int64)
+    table[keys] = exps
+    bad = np.flatnonzero(table[keys] != exps)
+    if len(bad):
+        raise IdentityCheckError(
+            "e(alpha f) is not constant on classes mod (l, g)",
+            counterexample=f"alpha={alpha.format()}, f={Poly.from_code(ctx, q**n + int(bad[0]))!r}, "
+            f"l={l}, g={g!r}",
+        )
+    sieve = _sieve.get_sieve(ctx, max(n, 1))
+    mu = sieve.degree_slice(sieve.mu, n)
+    periodic = np.bincount(table[keys], weights=mu, minlength=ctx.p).astype(np.int64)
+    direct = linear_corr(ctx, n, alpha, "A", budget)
+    if not np.array_equal(periodic, direct.hist):
         raise IdentityCheckError(
             "periodic route disagrees with the direct sum",
-            counterexample=f"alpha={alpha.format()}, direct={direct}, periodic={periodic}",
+            counterexample=f"alpha={alpha.format()}, direct {list(direct.hist)}, "
+            f"periodic {periodic.tolist()}",
         )
-    return direct, periodic, l, g
+    return direct.sum(ctx), hist_to_complex(ctx, periodic), l, g
 
 
 # -- Vaughan decomposition ---------------------------------------------------------
@@ -665,18 +668,22 @@ def vaughan_rhs_arrays(ctx: FieldCtx, D: int, u: int, v: int):
     return {"a1": a1, "b": b_arr, "w_uv": w_uv, "r_u": r_u}
 
 
+# How many failing polynomials a VaughanAudit lists; failure_count has them all.
+MAX_EXAMPLES = 64
+
+
 def vaughan_pointwise_audit(
-    ctx: FieldCtx, max_deg: int, u: int, v: int, budget: int = 1_200_000, max_examples: int = 64
+    ctx: FieldCtx, max_deg: int, u: int, v: int, budget: int = 1_200_000
 ) -> VaughanAudit:
     """Exhaustively test mu(f) = -A1(f) + B(f) for every monic f with
     deg f <= max_deg and record where it fails."""
     if ctx.q**max_deg > budget:
         raise BudgetExceeded(ctx.q**max_deg, budget, "pointwise audit")
     rhs = vaughan_rhs_arrays(ctx, max_deg, u, v)
-    return _pointwise_audit(ctx, max_deg, u, v, rhs, max_examples)
+    return _pointwise_audit(ctx, max_deg, u, v, rhs)
 
 
-def _pointwise_audit(ctx, max_deg, u, v, rhs, max_examples=64) -> VaughanAudit:
+def _pointwise_audit(ctx, max_deg, u, v, rhs) -> VaughanAudit:
     """The audit of vaughan_pointwise_audit against given rhs arrays.  Both
     sides vanish off the monic codes, so the failures in code order are
     the failures by degree."""
@@ -687,7 +694,7 @@ def _pointwise_audit(ctx, max_deg, u, v, rhs, max_examples=64) -> VaughanAudit:
         v=v,
         max_deg=max_deg,
         fail_degrees=tuple(int(d) for d in np.unique(degrees)),
-        failures=tuple(Poly.from_code(ctx, int(c)) for c in bad[: max(0, max_examples)]),
+        failures=tuple(Poly.from_code(ctx, int(c)) for c in bad[:MAX_EXAMPLES]),
         failure_count=len(bad),
     )
 

@@ -11,18 +11,21 @@ relation matrix, which also yields discrete logs in invariant-factor
 coordinates.  Character values are kept as root-of-unity exponents so
 products and histograms stay exact.
 
+The class of every f in A_n is one integer key, residues_mod * q^l +
+head_index (residues_mod keeps one read-only table per (Q, n) up to
+RESIDUES_MAX_BYTES, all zero for Q = 1), read with no case for Q = 1 or
+n = 0 by class_weights, principal_check and periodic_route_check.
+
 The sums over A_n of lambda(f), mu(f) lambda(f) and Lambda(f) lambda(f)
-come from one table per group.  class_weights sorts A_n into classes in one
-vectorised pass (residues_mod gives f mod Q, from one read-only table per
-(Q, n) that every group of modulus Q and principal_check share, kept up to
-RESIDUES_MAX_BYTES; the tail digits give the head).  Each block of
-character exponents is computed once and histogrammed exactly against the
-weights of every missing degree; only the complex sums are kept, one 1-D
-dot per histogram row.  The L-polynomials and the Euler and log-derivative
-checks read that table.  For non-principal lambda the c_n must vanish for
-n >= l + deg Q, every root must have modulus 1 or q^(-1/2), and 1/L must
-reproduce the Mobius-twisted sums; violations raise, since all three facts
-are theorems in this setting.
+come from one table per group: class_weights bincounts A_n by class key,
+with residue ranks in place of codes.  Each block of character exponents
+is computed once and histogrammed exactly against the weights of every
+missing degree; only the complex sums are kept, one 1-D dot per histogram
+row.  The L-polynomials and the Euler and log-derivative checks read that
+table.  For non-principal lambda the c_n must vanish for n >= l + deg Q,
+every root must have modulus 1 or q^(-1/2), and 1/L must reproduce the
+Mobius-twisted sums; violations raise, since all three facts are theorems
+in this setting.
 """
 
 from __future__ import annotations
@@ -89,8 +92,7 @@ def class_of(f: Poly, l: int, Q: Poly) -> HayesClass:
         f = f.monic()[1]
     n = int(f.deg)
     head = tuple(f.coefficient(n - i) for i in range(1, l + 1))
-    residue = 0 if Q.deg == 0 else (f % Q).code
-    return HayesClass(residue, head)
+    return HayesClass((f % Q).code, head)
 
 
 class HayesGroup:
@@ -128,19 +130,13 @@ class HayesGroup:
     def mul_class(self, x: HayesClass, y: HayesClass) -> HayesClass:
         """Product of two classes by Poly arithmetic: the oracle of _mul_by."""
         ctx, Q, l = self.ctx, self.Q, self.l
-        if self.m == 0:
-            residue = 0
-        else:
-            residue = (
-                Poly.from_code(ctx, x.residue_code) * Poly.from_code(ctx, y.residue_code)
-                % Q
-            ).code
+        residue = Poly.from_code(ctx, x.residue_code) * Poly.from_code(ctx, y.residue_code) % Q
         a = (1,) + x.head
         b = (1,) + y.head
         head = tuple(
             _convolve_at(ctx, a, b, k) for k in range(1, l + 1)
         )
-        return HayesClass(residue, head)
+        return HayesClass(residue.code, head)
 
     def _mul_by(self, j: int) -> np.ndarray:
         """The map i -> index(e_i e_j) over every element index, in one pass.
@@ -253,17 +249,9 @@ class HayesGroup:
         if q**n > budget:
             raise BudgetExceeded(q**n, budget, "A_n class sweep")
         sieve = _sieve.get_sieve(ctx, max(n, 1))
-        if self.m == 0:
-            rank = np.zeros(q**n, dtype=np.int64)
-        else:
-            rank = self._residue_rank[residues_mod(ctx, self.Q, n)]
+        rank = self._residue_rank[residues_mod(ctx, self.Q, n)]
         ok = rank >= 0
-        # a_i is tail digit n - i of f = t^n + a_1 t^(n-1) + ..., or 0 past deg f
-        tails = _sieve.monic_tails(ctx, n)
-        idx = rank * q**self.l
-        for i in range(1, min(self.l, n) + 1):
-            idx += q ** (i - 1) * tails[:, n - i].astype(np.int64)
-        idx = idx[ok]
+        idx = (rank * q**self.l + head_index(ctx, self.l, n))[ok]
         # the float64 bincounts add integers far below 2^53, so they are exact
         count = np.bincount(idx, minlength=self.order).astype(np.int64)
         mu_w = np.bincount(idx, sieve.degree_slice(sieve.mu, n)[ok], self.order).astype(np.int64)
@@ -349,8 +337,6 @@ def _convolve_at(ctx: FieldCtx, a: tuple, b: tuple, k: int) -> int:
 def poly_coprime(f: Poly, Q: Poly) -> bool:
     from .polys import poly_gcd
 
-    if Q.deg == 0:
-        return True
     g = poly_gcd(f, Q)
     return g.deg == 0
 
@@ -384,7 +370,7 @@ _RESIDUES: dict[tuple, np.ndarray] = {}
 
 def residues_mod(ctx: FieldCtx, Q: Poly, n: int) -> np.ndarray:
     """Residue codes of every f in A_n mod Q, in code order of A_n, as a
-    read-only array kept per (Q, n) in _RESIDUES."""
+    read-only array kept per (Q, n) in _RESIDUES; all zero when Q = 1."""
     key = (ctx, Q.code, n)
     res = _RESIDUES.get(key)
     if res is None:
@@ -396,6 +382,18 @@ def residues_mod(ctx: FieldCtx, Q: Poly, n: int) -> np.ndarray:
         if sum(r.nbytes for r in _RESIDUES.values()) + res.nbytes <= RESIDUES_MAX_BYTES:
             _RESIDUES[key] = res
     return res
+
+
+def head_index(ctx: FieldCtx, l: int, n: int) -> np.ndarray:
+    """sum of a_i q^(i-1) over i = 1..l for every f in A_n, in code order
+    of A_n: the head digits of f = t^n + a_1 t^(n-1) + ... as one index,
+    with a_i = 0 past deg f.  A_n mod (l, Q) has class key
+    residues_mod(ctx, Q, n) * q^l + head_index(ctx, l, n)."""
+    tails = _sieve.monic_tails(ctx, n)
+    idx = np.zeros(ctx.q**n, dtype=np.int64)
+    for i in range(1, min(l, n) + 1):  # a_i is tail digit n - i
+        idx += ctx.q ** (i - 1) * tails[:, n - i].astype(np.int64)
+    return idx
 
 
 def build_group(ctx: FieldCtx, l: int, Q: Poly, budget: int = 100_000) -> HayesGroup:
@@ -449,27 +447,27 @@ class LPolynomial:
         return tuple(1 / r for r in self.roots)
 
 
-def l_polynomial(
-    char: HayesCharacter, n_max: int, budget: int = 1_200_000, tol: float = VANISH_TOL
-) -> LPolynomial:
+def l_polynomial(char: HayesCharacter, n_max: int, budget: int = 1_200_000) -> LPolynomial:
     """Coefficients c_n = sum_{f in A_n} lambda(f) and the roots of the
     resulting polynomial; asserts the degree bound c_n ~ 0 for
-    n >= l + deg Q.  Kept on the group per (character, n_max, tol)."""
+    n >= l + deg Q (|c_n| < VANISH_TOL).  Kept on the group per
+    (character, n_max)."""
     if char.is_principal:
         raise ValueError("l_polynomial is for non-principal characters")
     g = char.group
-    key = (char.char_id, n_max, tol)
+    key = (char.char_id, n_max)
     if key in g._lpolys:
         return g._lpolys[key]
     bound = g.l + g.m
     coeffs = g.char_sum_table(n_max, budget=budget)[:, char.char_id, 0].tolist()
     for n in range(bound, n_max + 1):
-        if abs(coeffs[n]) >= tol:
+        if abs(coeffs[n]) >= VANISH_TOL:
             raise IdentityCheckError(
                 "L-polynomial coefficient above the degree bound",
                 counterexample=f"char {char.char_id} of {g.describe()}, n={n}, |c_n|={abs(coeffs[n]):.3g}",
             )
-    deg = max((k for k in range(1, min(bound - 1, n_max) + 1) if abs(coeffs[k]) > tol), default=0)
+    deg = max((k for k in range(1, min(bound - 1, n_max) + 1) if abs(coeffs[k]) > VANISH_TOL),
+              default=0)
     # the coefficients do not depend on n_max, so the roots are cached per
     # (character, degree)
     roots_key = (char.char_id, deg)
@@ -515,12 +513,10 @@ def rh_check(char: HayesCharacter, n_max: int | None = None, budget: int = 1_200
     return rows
 
 
-def euler_inverse_check(
-    char: HayesCharacter, n_max: int, budget: int = 1_200_000, tol: float = VANISH_TOL
-):
+def euler_inverse_check(char: HayesCharacter, n_max: int, budget: int = 1_200_000):
     """Compare coefficients of 1/L(z, lambda) with the Mobius-twisted sums
-    over A_n.  Returns (n, residual, mu_sum) rows; a residual above tol
-    raises."""
+    over A_n.  Returns (n, residual, mu_sum) rows; a residual of VANISH_TOL
+    or more raises."""
     g = char.group
     lp = l_polynomial(char, max(n_max, g.l + g.m), budget=budget)
     c = lp.coeffs[: lp.degree + 1]
@@ -534,7 +530,7 @@ def euler_inverse_check(
     rows = []
     for n, s in enumerate(mu_sums):
         resid = abs(s - inv[n])
-        if resid >= tol:
+        if resid >= VANISH_TOL:
             raise IdentityCheckError(
                 "1/L series coefficient disagrees with enumeration",
                 counterexample=f"char {char.char_id} of {g.describe()}, n={n}, residual={resid:.3g}",
@@ -553,22 +549,15 @@ def principal_check(ctx: FieldCtx, Q: Poly, n_max: int, budget: int = 1_200_000)
         raise BudgetExceeded(q**n_max, budget, "principal sweep")
     # integer series expansion
     series = ([1, -q] + [0] * n_max)[: n_max + 1]
-    for d in [int(p.deg) for p, _ in factorize(Q).factors] if Q.deg != 0 else []:
+    for d in [int(p.deg) for p, _ in factorize(Q).factors]:
         for n in range(d, n_max + 1):  # multiply by 1/(1 - z^d) = sum z^(kd)
             series[n] += series[n - d]
     sieve = _sieve.get_sieve(ctx, max(n_max, 1))
+    coprime = _coprime_residue_mask(ctx, Q)
     rows = []
     for n in range(n_max + 1):
-        if n == 0:
-            enum = 1
-        else:
-            mu_slice = sieve.degree_slice(sieve.mu, n).astype(np.int64)
-            if Q.deg == 0:
-                enum = int(mu_slice.sum())
-            else:
-                res = residues_mod(ctx, Q, n)
-                ok = _coprime_residue_mask(ctx, Q)[res]
-                enum = int(mu_slice[ok].sum())
+        mu = sieve.degree_slice(sieve.mu, n).astype(np.int64)
+        enum = int(mu[coprime[residues_mod(ctx, Q, n)]].sum())
         if enum != series[n]:
             raise IdentityCheckError(
                 "principal-character series mismatch",
@@ -596,11 +585,10 @@ def _coprime_residue_mask(ctx: FieldCtx, Q: Poly) -> np.ndarray:
     return _COPRIME_MASKS[key]
 
 
-def log_deriv_check(
-    char: HayesCharacter, l_max: int, budget: int = 1_200_000, tol: float = VANISH_TOL
-):
+def log_deriv_check(char: HayesCharacter, l_max: int, budget: int = 1_200_000):
     """Check sum over deg f = l of Lambda(f) lambda(f) against minus the
-    power sums of the inverse roots.  Returns (l, lhs, rhs, residual) rows."""
+    power sums of the inverse roots.  Returns (l, lhs, rhs, residual) rows;
+    a residual of VANISH_TOL or more raises."""
     if char.is_principal:
         raise ValueError("log_deriv_check applies to non-principal characters")
     g = char.group
@@ -611,7 +599,7 @@ def log_deriv_check(
         lhs = complex(g.char_sums(l, budget=budget)[char.char_id, 2])
         rhs = -sum(a**l for a in alphas) if alphas else 0j
         resid = abs(lhs - rhs)
-        if resid >= tol:
+        if resid >= VANISH_TOL:
             raise IdentityCheckError(
                 "log-derivative power sums disagree",
                 counterexample=f"char {char.char_id} of {g.describe()}, l={l}, residual={resid:.3g}",

@@ -198,7 +198,13 @@ def test_rank_stats_k_above_n_names_the_flag():
     (["quad-corr", "--field", "3", "--n", "-2"], "--n -2"),
     (["isotropic", "--field", "3", "--n", "-1"], "--n -1"),
     (["isotropic", "--field", "3", "--n", "4", "--r", "-1"], "--r -1"),
-], ids=["gauss-n", "quad-n", "isotropic-n", "isotropic-r"])
+    (["vaughan-audit", "--field", "2", "--n", "-1"], "--n -1"),
+    (["divisor-moments", "--field", "2", "--nmax", "-1"], "--nmax -1"),
+    (["linear-corr", "--field", "3", "--n", "-1"], "--n -1"),
+    (["hankel-corr", "--field", "3", "--n", "-1"], "--n -1"),
+    (["exponent-sweep", "--field", "3", "--nmin", "-2"], "--nmin -2"),
+], ids=["gauss-n", "quad-n", "isotropic-n", "isotropic-r", "vaughan-n", "divisor-nmax", "linear-n",
+        "hankel-n", "sweep-nmin"])
 def test_negative_size_names_the_flag(args, flag, capsys):
     import ffmobius.cli as cli
 
@@ -212,7 +218,9 @@ def test_negative_size_names_the_flag(args, flag, capsys):
     ["quad-corr", "--field", "3", "--n", "0"],
     ["isotropic", "--field", "3", "--n", "0"],
     ["isotropic", "--field", "3", "--n", "3", "--r", "0"],
-], ids=["gauss-n", "quad-n", "isotropic-n", "isotropic-r"])
+    ["hankel-corr", "--field", "3", "--n", "0"],
+    ["hankel-corr", "--field", "2", "--n", "0"],
+], ids=["gauss-n", "quad-n", "isotropic-n", "isotropic-r", "hankel-n-q3", "hankel-n-q2"])
 def test_zero_size_accepted(args, capsys):
     import ffmobius.cli as cli
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,31 @@ def test_hankel_cross_check_is_exact(F3, monkeypatch):
     assert "hankel [" in msg and "quadratic [" in msg
 
 
+def test_hankel_kernel_runs_once(F3, F9, monkeypatch):
+    # the routes are compared as compiled forms, so one phase_hist per sum
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return phase_hist(*args, **kwargs)
+
+    monkeypatch.setattr(correlations, "phase_hist", spy)
+    for ctx in (F3, F9):
+        for beta in (None, sample_torus(ctx, 32, 4)):
+            calls.clear()
+            rep = hankel_corr(ctx, 3, sample_torus(ctx, 31, 8), beta)
+            assert len(calls) == 1 and isinstance(calls[0], HankelPhase)
+            assert rep.terms == ctx.q**3
+
+
+@pytest.mark.parametrize("ctx", ["F2", "F3"])
+def test_hankel_n_zero(ctx, request):
+    # G_0 holds only f = 0, where mu vanishes: an empty sum, not a numpy error
+    ctx = request.getfixturevalue(ctx)
+    rep = hankel_corr(ctx, 0, sample_torus(ctx, 5, 2), sample_torus(ctx, 6, 1))
+    assert rep.hist == (0,) * ctx.p and rep.terms == 1
+
+
 def test_hankel_char2_works_without_crosscheck(F2):
     alpha = sample_torus(F2, 8, 30)
     beta = sample_torus(F2, 9, 10)
@@ -316,6 +343,35 @@ def test_periodic_route_random(F2):
         direct, periodic, l, g = periodic_route_check(F2, 8, alpha)
         assert abs(direct - periodic) < 1e-9
         assert l == 8 - 4 - int(g.deg)
+
+
+def test_periodic_route_catches_nonconstant_exponent(F2, monkeypatch):
+    # one f whose exponent is flipped breaks constancy on its class
+    alpha = sample_torus(F2, 3, 12)
+    exponents = LinearPhase.exponents
+
+    def flipped(self, ncoords, codes):
+        out = exponents(self, ncoords, codes)
+        out[codes == 2**8 + 37] ^= 1
+        return out
+
+    monkeypatch.setattr(LinearPhase, "exponents", flipped)
+    with pytest.raises(IdentityCheckError, match="not constant on classes") as err:
+        periodic_route_check(F2, 8, alpha)
+    assert f"alpha={alpha.format()}, f=" in str(err.value)
+
+
+def test_periodic_route_catches_direct_hist_off_by_one(F2, monkeypatch):
+    alpha = sample_torus(F2, 4, 12)
+    linear = correlations.linear_corr
+
+    def off_by_one(*args, **kwargs):
+        rep = linear(*args, **kwargs)
+        return dataclasses.replace(rep, hist=(rep.hist[0] + 1,) + rep.hist[1:])
+
+    monkeypatch.setattr(correlations, "linear_corr", off_by_one)
+    with pytest.raises(IdentityCheckError, match="periodic route disagrees"):
+        periodic_route_check(F2, 8, alpha)
 
 
 def test_exponent_sweep_deterministic(F2):

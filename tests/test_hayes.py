@@ -269,6 +269,14 @@ def test_principal_series(F2):
     assert [r[1] for r in rows] == [1, 0, -1, -2, -3, -4]
 
 
+@pytest.mark.parametrize("ps", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=lambda ps: "q={}^{}".format(*ps))
+def test_principal_series_q_one(ps):
+    # Q = 1 goes through residues_mod like any modulus: the series is 1 - q z
+    ctx = get_field(*ps)
+    rows = principal_check(ctx, Poly.one(ctx), 4)
+    assert rows == [(0, 1, 1), (1, -ctx.q, -ctx.q), (2, 0, 0), (3, 0, 0), (4, 0, 0)]
+
+
 def test_char_sum_report(F2):
     g = build_group(F2, 1, Poly.t(F2))
     rows = char_sum_exponent_report([g], 3)
@@ -346,6 +354,23 @@ def test_class_weights_match_poly_oracle(ps):
                 got = g.class_weights(n)
                 assert all(w.dtype == np.int64 for w in got)
                 assert np.array_equal(np.stack(got), want), (ps, Q.format(), l, n)
+
+
+@pytest.mark.parametrize("ps", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)], ids=lambda ps: "q={}^{}".format(*ps))
+def test_class_keys_match_class_of(ps):
+    # residues_mod * q^l + head_index is class_of read as one integer, for
+    # every f in A_n: Q = 1 and n = 0 included, and l > n
+    ctx = get_field(*ps)
+    q = ctx.q
+    for Q in (Poly.one(ctx), Poly.t(ctx), P(ctx, "1,1"), P(ctx, "1,0,1"), P(ctx, "0,1,1")):
+        for l in (0, 1, 2, 4):
+            for n in range(4 if q <= 5 else 3):
+                keys = hayes.residues_mod(ctx, Q, n) * q**l + hayes.head_index(ctx, l, n)
+                want = []
+                for code in range(q**n, 2 * q**n):
+                    c = class_of(Poly.from_code(ctx, code), l, Q)
+                    want.append(c.residue_code * q**l + sum(a * q**i for i, a in enumerate(c.head)))
+                assert keys.tolist() == want, (Q.format(), l, n)
 
 
 def brute_histograms(g, n):
