@@ -46,18 +46,16 @@ def main():
 
     coeff_rows, root_rows = [], []
     for g in groups:
+        desc = g.describe()
         for char in g.characters():
             if char.is_principal:
                 continue
             lp = l_polynomial(char, g.l + g.m + 2)
             for n, c in enumerate(lp.coeffs):
-                coeff_rows.append(
-                    (g.describe(), char.char_id, n, f"{c.real:.12g}", f"{c.imag:.12g}")
-                )
+                coeff_rows.append((desc, char.char_id, n, f"{c.real:.12g}", f"{c.imag:.12g}"))
             for root, modulus, label in rh_check(char):
                 root_rows.append(
-                    (g.describe(), char.char_id, f"{root.real:.12g}",
-                     f"{root.imag:.12g}", f"{modulus:.12g}", label)
+                    (desc, char.char_id, f"{root.real:.12g}", f"{root.imag:.12g}", f"{modulus:.12g}", label)
                 )
     write_csv(outdir / f"hayes-coeffs-q{ctx.q}.csv",
               ["group", "lambda_id", "n", "re_cn", "im_cn"], coeff_rows)

@@ -368,20 +368,22 @@ def _dilation_hists(ctx: FieldCtx, form: PhaseForm, d_codes: np.ndarray, dd: int
     of G_(n - dd) weighted by weights[w] (1 when None) at the exponent of
     d_i w, for monic codes d_i of degree dd < n and a phase's compiled form
     on n coordinates.  Row i is phase_hist of phase.compose_dilation(d_i) on
-    n - dd coordinates, the route the tests compare against.  Each product
-    block of d w codes is one bincount on row p + exponent; spans of CHUNK
-    w-codes are mapped over threads as in phase_hist."""
+    n - dd coordinates, the route the tests compare against.  The codes
+    of d w come from one sieve._Products of the d_i, built before the
+    spans, and each of its blocks is one bincount on row p + exponent;
+    spans of CHUNK w-codes are mapped over threads as in phase_hist."""
     p = ctx.p
-    m = form.N // ctx.s - dd
-    d_digits = _sieve.codes_to_digits(ctx, d_codes, dd + 1)
+    # PhaseForm.exponents expands each product into N + 1 float64 digits,
+    # so a block holds CHUNK_ENTRIES digits rather than products
+    entries = max(1, _sieve.CHUNK_ENTRIES // (form.N + 1))
+    prod = _sieve._Products(ctx, _sieve.codes_to_digits(ctx, d_codes, dd + 1), hi, entries)
 
     def span(a, b):
         out = np.zeros(len(d_codes) * p)
-        w_digits = _sieve.codes_to_digits(ctx, np.arange(a, b), m)
-        for i0, j0, codes in _sieve._product_blocks(ctx, d_digits, w_digits):
-            rows, cols = codes.shape
-            bins = form.exponents(codes.ravel()) + p * np.repeat(np.arange(rows), cols)
-            w = None if weights is None else np.tile(weights[a + j0 : a + j0 + cols], rows)
+        for i0, c0, words in prod.blocks(a, b):
+            rows, cols = words.shape
+            bins = form.exponents(prod.codes(words).ravel()) + p * np.repeat(np.arange(rows), cols)
+            w = None if weights is None else np.tile(weights[c0 : c0 + cols], rows)
             out[i0 * p : (i0 + rows) * p] += np.bincount(bins, weights=w, minlength=rows * p)
         return out
 

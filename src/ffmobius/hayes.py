@@ -466,13 +466,13 @@ def l_polynomial(char: HayesCharacter, n_max: int, budget: int = 1_200_000) -> L
                 "L-polynomial coefficient above the degree bound",
                 counterexample=f"char {char.char_id} of {g.describe()}, n={n}, |c_n|={abs(coeffs[n]):.3g}",
             )
-    deg = max((k for k in range(1, min(bound - 1, n_max) + 1) if abs(coeffs[k]) > VANISH_TOL),
-              default=0)
+    top = min(bound - 1, n_max)
+    deg = max((k for k in range(1, top + 1) if abs(coeffs[k]) > VANISH_TOL), default=0)
     # the coefficients do not depend on n_max, so the roots are cached per
-    # (character, degree)
+    # (character, degree), for every character of the group at once
     roots_key = (char.char_id, deg)
     if roots_key not in g._roots_cache:
-        g._roots_cache[roots_key] = np.roots(np.array(coeffs[: deg + 1][::-1], dtype=complex))
+        _cache_group_roots(g, g.char_sum_table(n_max, budget=budget)[:, :, 0], top)
     g._lpolys[key] = LPolynomial(
         char_id=char.char_id,
         coeffs=tuple(coeffs),
@@ -481,6 +481,43 @@ def l_polynomial(char: HayesCharacter, n_max: int, budget: int = 1_200_000) -> L
         roots=tuple(g._roots_cache[roots_key]),
     )
     return g._lpolys[key]
+
+
+def _stacked_roots(P: np.ndarray) -> np.ndarray:
+    """(k, N - 1) roots of the k polynomials in the rows of P (k, N), leading
+    coefficient first and none of them 0: one eigvals on the companion
+    matrices built as np.roots builds them, ones on the subdiagonal and
+    -p[1:] / p[0] in the first row, so each row's roots are np.roots's."""
+    k, deg = P.shape[0], P.shape[1] - 1
+    if not deg:
+        return np.zeros((k, 0), dtype=P.dtype)
+    A = np.zeros((k, deg, deg), dtype=P.dtype)
+    A[:, np.arange(1, deg), np.arange(deg - 1)] = 1
+    A[:, 0, :] = -P[:, 1:] / P[:, :1]
+    return np.linalg.eigvals(A)
+
+
+def _cache_group_roots(g: HayesGroup, C: np.ndarray, top: int):
+    """Put the roots of every non-principal character's L-polynomial in
+    g._roots_cache, from the (n_max + 1, order) coefficient table C.  The
+    deflated degree is the last k in 1..top with |c_k| > VANISH_TOL (0 when
+    there is none), and the roots of each degree come from one
+    _stacked_roots.  A polynomial whose constant term is exactly 0 goes
+    through np.roots, which strips trailing zeros."""
+    ids = np.arange(1, g.order)
+    big = np.abs(C[1 : top + 1, ids]) > VANISH_TOL
+    degs = np.zeros(len(ids), dtype=np.int64)
+    if top >= 1:
+        degs = np.where(big.any(axis=0), top - np.argmax(big[::-1], axis=0), 0)
+    for deg in np.unique(degs).tolist():
+        chars = [i for i in ids[degs == deg].tolist() if (i, deg) not in g._roots_cache]
+        stacked = [i for i in chars if C[0, i] != 0]
+        for i in chars:
+            if C[0, i] == 0:
+                g._roots_cache[(i, deg)] = np.roots(C[deg::-1, i])
+        roots = _stacked_roots(C[deg::-1, stacked].T)
+        for i, r in zip(stacked, roots):
+            g._roots_cache[(i, deg)] = r
 
 
 def rh_check(char: HayesCharacter, n_max: int | None = None, budget: int = 1_200_000):
@@ -613,12 +650,15 @@ def char_sum_exponent_report(groups, d_max: int, budget: int = 1_200_000):
     log_q |.| / d for every non-principal character.  Reporting only."""
     rows = []
     for g in groups:
-        logq = np.log(g.ctx.q)
+        if g.order == 1:  # the principal character alone
+            continue
+        logq, desc = np.log(g.ctx.q), g.describe()
+        table = g.char_sum_table(d_max, budget=budget)
         for char in g.characters():
             if char.is_principal:
                 continue
-            for d, sums in enumerate(g.char_sum_table(d_max, budget=budget)):
+            for d, sums in enumerate(table):
                 s = abs(complex(sums[char.char_id, 1]))
                 expo = float(np.log(s) / (d * logq)) if s > 0 and d > 0 else None
-                rows.append((g.describe(), char.char_id, d, s, expo))
+                rows.append((desc, char.char_id, d, s, expo))
     return rows

@@ -11,22 +11,26 @@ and tau over all monic codes up to a degree bound.  It is built one degree
 at a time as a linear sieve: a composite f of degree n is P h with P its
 smallest irreducible factor in (degree, code) order exactly when P <= spf(h),
 so deg P <= n/2.  Whole blocks of irreducibles of each degree d <= n/2 are
-multiplied by the monics h of degree n - d whose smallest factor has degree
->= d, and only the products with P <= spf(h) are kept: each composite is
-written once, with its smallest factor and quotient, and the multiplicative
-recursions then run along those quotients.  A sieve grows by sieving only
-the new degrees.  The per-degree irreducible lists produced on the way
-double as the irreducible enumerator, and each list is checked against the
-necklace count (1/n) sum mu(d) q^(n/d).
+multiplied by every monic h of degree n - d, and only the products with
+P <= spf(h) are kept: each composite is written once, with its smallest
+factor and quotient, and the multiplicative recursions then run along
+those quotients.  A sieve grows by sieving only the new degrees.  The
+per-degree irreducible lists produced on the way double as the
+irreducible enumerator, and each list is checked against the necklace
+count (1/n) sum mu(d) q^(n/d).
 
-Every product of polynomials here goes through one primitive: a block of
-digit rows times another block, as a batched matmul of base-p digits
-(multiplication by a fixed polynomial is F_p-linear) followed by reduction
-mod p.  The sieve consumes its output in bounded chunks.  convolve_monic
-reads it through product tables: for each degree pair (da, db), the offsets
-of every monic product g h in its degree, built once and kept in _PRODUCTS
-up to PRODUCTS_MAX_BYTES, so that a convolution is one weighted bincount
-per degree pair.
+Every product of polynomials here goes through one primitive, _Products:
+the codes of a c for a block of polynomials a and every code c in a range.
+It is carry free: each F_p digit of a product sits in its own lane of a
+uint64 word (one bit at p = 2, where lanes add by XOR), a low table of the
+words of a c for all short c is built by doubling over the digits of c,
+and longer codes add a shifted high part to it.  Products too wide for the
+lanes fall back to a batched matmul of base-p digits (_pair_codes).  The
+sieve keeps one low table per degree d of irreducibles for the length of a
+build.  convolve_monic reads the primitive through product tables: for
+each degree pair (da, db), the offsets of every monic product g h in its
+degree, built once and kept in _PRODUCTS up to PRODUCTS_MAX_BYTES, so that
+a convolution is one weighted bincount per degree pair.
 """
 
 from __future__ import annotations
@@ -101,23 +105,152 @@ def digits_to_codes(ctx: FieldCtx, digits: np.ndarray) -> np.ndarray:
     return digits.astype(np.int64) @ powers
 
 
-# -- the pairwise-product primitive -------------------------------------------
+# -- the product primitive -----------------------------------------------------
 
-# Cap on the digit entries (products x output base-p digits) that one
-# vectorised product step holds; bounds the temporaries of block marking and
-# of convolve_monic whatever the degrees involved.
+# Cap on the products that one vectorised step holds: a block of rows times
+# a span of codes, a low table of _Products, or a _pair_codes block.  It
+# bounds the temporaries of the sieve, the product tables and the dilation
+# histograms whatever the degrees involved.
 CHUNK_ENTRIES = 1 << 16
 
 
+def _ndigits(q: int, x: int) -> int:
+    """Number of base-q digits of x (1 for x = 0)."""
+    k = 1
+    while x >= q**k:
+        k += 1
+    return k
+
+
+class _Products:
+    """Codes of a_i c for the rows a_i of a block of polynomials and every
+    code c in [0, stop), produced in blocks by blocks(lo, hi) of at most
+    `entries` (default CHUNK_ENTRIES) products.
+
+    A code is the base-p number of all F_p digits of its polynomial, so a
+    product is carry free once each F_p digit sits in its own b-bit lane of
+    a uint64 word: b = 1 at p = 2, where lane addition is XOR and the word
+    is the code itself; for odd p, b is the least width with 2p - 2 < 2^b
+    and p - 2 < 2^(b-1), and lanes add as t = x + y, less p in each lane
+    whose bit b-1 of t + OFF is set (OFF = 2^(b-1) - p in every lane).
+    The words of a_i c for all c below q^K form a low table, built by
+    doubling over the digits of c: step k adds c_k t^k a_i for every c_k
+    in F_q, the scalar multiples c_k a_i coming once from MUL and DIGITS.
+    A code past q^K is h q^K + j, and its word is the table's word at j
+    plus the word of a_i h shifted up K digits, itself taken from the
+    table the same way; K is the largest with (rows of a block) q^K <=
+    entries.  codes() folds words back into codes in ceil(log2 N)
+    pairwise folds, N the number of F_p digits of the product.  Products
+    with more digits than the 64 // b lanes go through _pair_codes.
+    """
+
+    def __init__(self, ctx: FieldCtx, a: np.ndarray, stop: int, entries: int | None = None):
+        p, s, q = ctx.p, ctx.s, ctx.q
+        self.entries = entries = CHUNK_ENTRIES if entries is None else entries
+        self.ctx, self.a = ctx, np.asarray(a)
+        b = 1
+        while p > 2 and not (2 * p - 2 < 2**b and p - 2 < 2 ** (b - 1)):
+            b += 1
+        self.b, lanes = b, 64 // b
+        r, w = self.a.shape
+        self.rows = max(1, entries // q)  # rows per block, so that K >= 1
+        wc = _ndigits(q, max(stop - 1, 0))  # digits of the codes c
+        ndig = s * (w + wc - 1)  # F_p digits of a product
+        self.lanes = ndig <= lanes
+        self._tables = []
+        if not self.lanes or not r:
+            return
+        if b > 1:
+            low = sum(1 << (b * k) for k in range(lanes))  # bit 0 of every lane
+            self._low, self._off = np.uint64(low), np.uint64((2 ** (b - 1) - p) * low)
+        # fold k joins fields of width b 2^k: the odd fields' mask, the
+        # width, and 2^width - p^(2^k), so that x - (odd >> width) * that
+        # puts high * p^(2^k) + low in each field pair; none at p = 2
+        self._folds = []
+        width = b
+        while b > 1 and width < b * ndig:
+            mask = sum(((1 << width) - 1) << k for k in range(width, 64, 2 * width)) % 2**64
+            self._folds.append((np.uint64(mask), np.uint64(width), np.uint64(2**width - p ** (width // b))))
+            width *= 2
+        # the words of c a_i for every c in F_q, (r, q)
+        digits = ctx.DIGITS[ctx.MUL[:, self.a]].reshape(q, r, s * w).astype(np.uint64)
+        scaled = (digits << (b * np.arange(s * w, dtype=np.uint64))).sum(axis=2, dtype=np.uint64).T
+        K = min(wc, max(1, _ndigits(q, entries // min(r, self.rows)) - 1))
+        for i0 in range(0, r, self.rows):
+            block = scaled[i0 : i0 + self.rows]
+            table = np.zeros((len(block), 1), dtype=np.uint64)
+            for k in range(K):  # codes below q^(k+1) from codes below q^k
+                step = block << np.uint64(b * s * k)
+                table = self._add(step[:, :, None], table[:, None, :]).reshape(len(block), -1)
+            table.flags.writeable = False
+            self._tables.append(table)
+        self._shift = np.uint64(b * s * K)
+
+    def _add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if self.b == 1:
+            return x ^ y
+        t = x + y
+        f = t + self._off
+        f >>= np.uint64(self.b - 1)
+        f &= self._low
+        f *= np.uint64(self.ctx.p)
+        t -= f
+        return t
+
+    def codes(self, words: np.ndarray) -> np.ndarray:
+        """int64 codes of lane words; the codes _pair_codes gave (int64
+        already, for products too wide for the lanes) pass through."""
+        if words.dtype == np.int64:
+            return words
+        for mask, width, mult in self._folds:
+            t = words & mask
+            t >>= width
+            t *= mult
+            words = words - t
+        return words.view(np.int64)
+
+    def blocks(self, lo: int, hi: int):
+        """Yield (i0, c0, words): words[i, j] is the product of a[i0 + i]
+        and the code c0 + j, for lo <= c0 + j < hi; a block holds at most
+        max(entries, q) products.  Lane words are read-only, and
+        codes() turns them into codes."""
+        if not self.lanes:
+            wc = _ndigits(self.ctx.q, max(hi - 1, 0))
+            for i0 in range(0, len(self.a), self.rows):
+                a = self.a[i0 : i0 + self.rows]
+                cols = max(1, self.entries // len(a))
+                for c0 in range(lo, hi, cols):
+                    c = codes_to_digits(self.ctx, np.arange(c0, min(c0 + cols, hi)), wc)
+                    yield i0, c0, _pair_codes(self.ctx, a, c)
+            return
+        for k, table in enumerate(self._tables):
+            for c0, words in self._words(table, lo, hi):
+                yield k * self.rows, c0, words
+
+    def _words(self, table: np.ndarray, lo: int, hi: int):
+        Q = table.shape[1]
+        if hi <= Q:
+            if lo < hi:
+                yield lo, table[:, lo:hi]
+            return
+        for h0, high in self._words(table, lo // Q, (hi - 1) // Q + 1):
+            high = high << self._shift
+            for k in range(high.shape[1]):
+                c = (h0 + k) * Q
+                j0, j1 = max(lo - c, 0), min(hi - c, Q)
+                yield c + j0, self._add(table[:, j0:j1], high[:, k : k + 1])
+
+
 def _pair_codes(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) codes of the products of the digit rows of a and b.
+    """(len(a), len(b)) codes of the products of the digit rows of a and b,
+    for products too wide for the lanes of _Products.
 
     Multiplication by a fixed polynomial is F_p-linear on base-p digits, so
     for each row of the smaller side its matrix (block Toeplitz in the
     MULMAT blocks of the row's coefficients) is built, and one batched
     matmul applies all of them to the other side's DIGITS.  The digit sums
     are small integers, exact in float32; they are reduced mod p and read
-    back as codes, exact in float64 (codes index arrays, so far below 2^53).
+    back as codes, exact in float64 below 2^53.
     """
     if len(a) > len(b):
         return _pair_codes(ctx, b, a).T
@@ -134,27 +267,14 @@ def _pair_codes(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (digits @ float(p) ** np.arange(width)).astype(np.int64)
 
 
-def _product_blocks(ctx: FieldCtx, a: np.ndarray, b: np.ndarray):
-    """Yield (i0, j0, codes), codes[i, j] the code of a[i0 + i] * b[j0 + j].
-
-    Blocks hold at most CHUNK_ENTRIES digit entries; a block spans several
-    rows of a only when it holds all of b.
-    """
-    width = ctx.s * (a.shape[1] + b.shape[1] - 1)
-    rows = max(1, CHUNK_ENTRIES // (len(b) * width))
-    cols = len(b) if rows > 1 else max(1, CHUNK_ENTRIES // width)
-    for i0 in range(0, len(a), rows):
-        for j0 in range(0, len(b), cols):
-            yield i0, j0, _pair_codes(ctx, a[i0 : i0 + rows], b[j0 : j0 + cols])
-
-
 def poly_times_monics(ctx: FieldCtx, f_digits, m: int) -> np.ndarray:
     """Codes of f * (t^m + tail) for every tail in [0, q^m), in tail order.
 
     f_digits are the coefficient codes of a nonzero f, constant term first.
     """
-    f = np.asarray([[int(c) for c in f_digits]], dtype=np.int16)
-    return _pair_codes(ctx, f, monic_digit_matrix(ctx, m))[0]
+    q = ctx.q
+    prod = _Products(ctx, np.asarray([[int(c) for c in f_digits]], dtype=np.int64), 2 * q**m)
+    return np.concatenate([prod.codes(words)[0] for _, _, words in prod.blocks(q**m, 2 * q**m)])
 
 
 # -- the sieve ---------------------------------------------------------------
@@ -165,15 +285,19 @@ class MonicSieve:
 
     Degrees are added in increasing order.  spf(f) is the least
     irreducible factor of f in (degree, code) order and quot(f) = f / spf(f).
-    For degree n and each d <= n/2, the degree-d irreducibles P are
-    multiplied by the monics h of degree n - d with deg spf(h) >= d, and a
-    product is kept when deg spf(h) > d or P <= spf(h): exactly then is
-    spf(P h) = P, so every composite of degree n is written once, with
-    spf = P and quot = h.  The codes left unwritten are the irreducibles of
-    degree n, checked against the necklace count.  mu, Lambda and tau of
-    degree n then follow from the values at quot.  A sieve of ctx already
-    in _SIEVES with a lower degree bound is extended: its arrays become the
-    low end of the new ones and only the new degrees are sieved.
+    Codes grow with the degree, so (degree, code) order is code order.  For
+    degree n and each d <= n/2, the degree-d irreducibles P are multiplied
+    by every monic h of degree n - d, and a product is kept when
+    P <= spf(h): exactly then is spf(P h) = P, so every composite of degree
+    n is written once, with spf = P and quot = h.  The products kept must
+    number q^n less the necklace count, and the codes left unwritten are the
+    irreducibles of degree n, checked against the necklace count.  mu,
+    Lambda and tau of degree n then follow from the values at quot.  The
+    products of the degree-d irreducibles come from one _Products per d,
+    built when degree 2d is sieved and dropped with the build.  A sieve of
+    ctx already in _SIEVES with a lower degree bound is extended: its
+    arrays become the low end of the new ones and only the new degrees are
+    sieved.
     """
 
     _ARRAYS = (
@@ -205,33 +329,41 @@ class MonicSieve:
             self.tau[1] = 1
         else:
             self.irr_codes = dict(base.irr_codes)
-        for n in range(1 if base is None else base.max_deg + 1, max_deg + 1):
-            self._add_degree(n)
+        self._irr_products: dict[int, _Products] = {}  # this build's, by degree
+        try:
+            for n in range(1 if base is None else base.max_deg + 1, max_deg + 1):
+                self._add_degree(n)
+        finally:
+            del self._irr_products
+
+    @staticmethod
+    def _keep(P: np.ndarray, spf_h: np.ndarray) -> np.ndarray:
+        """The products P h to write: P <= spf(h), rows P, columns h."""
+        return P[:, None] <= spf_h[None, :]
 
     def _add_degree(self, n: int):
-        ctx = self.ctx
-        q = ctx.q
+        q = self.ctx.q
+        kept = 0
         for d in range(1, n // 2 + 1):
-            irr = self.irr_codes[d]
-            m = n - d
-            # the cofactors h with deg spf(h) >= d, and the largest P that
-            # is still spf(P h): any P when deg spf(h) > d, else spf(h)
-            h = q**m + np.flatnonzero(self.spf_deg[q**m : 2 * q**m] >= d)
-            bound = np.where(self.spf_deg[h] > d, 2 * q**n, self.spf_code[h])
-            h_digits = monic_digit_matrix(ctx, m)
-            if len(h) < len(h_digits):
-                h_digits = h_digits[h - q**m]
-            for i0, j0, codes in _product_blocks(ctx, codes_to_digits(ctx, irr, d + 1), h_digits):
-                rows, cols = codes.shape
-                i, j = np.nonzero(irr[i0 : i0 + rows, None] <= bound[None, j0 : j0 + cols])
-                new = codes[i, j]
-                self.spf_code[new] = irr[i0 + i]
+            irr, lo = self.irr_codes[d], q ** (n - d)
+            if d not in self._irr_products:
+                digits = codes_to_digits(self.ctx, irr, d + 1)
+                self._irr_products[d] = _Products(self.ctx, digits, 2 * q ** (self.max_deg - d))
+            prod = self._irr_products[d]
+            for i0, c0, words in prod.blocks(lo, 2 * lo):
+                rows, cols = words.shape
+                P = irr[i0 : i0 + rows]
+                i, j = np.nonzero(self._keep(P, self.spf_code[c0 : c0 + cols]))
+                new = prod.codes(words[i, j])
+                self.spf_code[new] = P[i]
                 self.spf_deg[new] = d
-                self.quot[new] = h[j0 + j]
+                self.quot[new] = c0 + j
+                kept += len(new)
         lo, hi = q**n, 2 * q**n
         is_comp = self.spf_deg[lo:hi] != 0
         irr = lo + np.flatnonzero(~is_comp)
         assert len(irr) == necklace_count(q, n), "irreducible count mismatch"
+        assert kept == q**n - len(irr), "composite written more than once"
         self.irr_codes[n] = irr
         # multiplicative recursion along f = spf(f) * quot(f)
         self.mu[irr] = -1
@@ -340,9 +472,11 @@ def _product_table(ctx: FieldCtx, da: int, db: int) -> np.ndarray:
     if lo >= 2**31:
         raise BudgetExceeded(lo, 2**31 - 1, f"int32 product offsets of degree {da + db}")
     table = np.empty((q**da, q**db), dtype=np.int32)
-    a, b = monic_digit_matrix(ctx, da), monic_digit_matrix(ctx, db)
-    for i0, j0, codes in _product_blocks(ctx, a, b):
-        table[i0 : i0 + codes.shape[0], j0 : j0 + codes.shape[1]] = codes - lo
+    prod = _Products(ctx, monic_digit_matrix(ctx, da), 2 * q**db)
+    for i0, c0, words in prod.blocks(q**db, 2 * q**db):
+        rows, cols = words.shape
+        j0 = c0 - q**db
+        table[i0 : i0 + rows, j0 : j0 + cols] = prod.codes(words) - lo
     if sum(t.nbytes for t in _PRODUCTS.values()) + table.nbytes <= PRODUCTS_MAX_BYTES:
         _PRODUCTS[key] = table
     return table

@@ -434,9 +434,12 @@ def test_hayes_outputs_match_frozen_digests(key, chunk, monkeypatch):
 
 def test_roots_computed_once_per_character(F3, monkeypatch):
     g = build_group(F3, 1, P(F3, "1,1"))
+    # roots come from np.roots one polynomial at a time, or from
+    # _stacked_roots one row per polynomial; each character's once
     calls = []
-    real_roots = np.roots
+    real_roots, stacked_roots = np.roots, hayes._stacked_roots
     monkeypatch.setattr(hayes.np, "roots", lambda c: calls.append(1) or real_roots(c))
+    monkeypatch.setattr(hayes, "_stacked_roots", lambda P: calls.extend([1] * len(P)) or stacked_roots(P))
     chars = [c for c in g.characters() if not c.is_principal]
     for char in chars:
         l_polynomial(char, 4)
@@ -444,6 +447,29 @@ def test_roots_computed_once_per_character(F3, monkeypatch):
         euler_inverse_check(char, 4)
         log_deriv_check(char, 3)
     assert len(calls) == len(chars)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_group_roots_match_np_roots(p):
+    # every character of every group with l <= 2 and deg Q <= 3 (order at
+    # most 1000): the roots are np.roots's, bit for bit
+    ctx = get_field(p)
+    degrees = set()
+    for l in range(3):
+        for m in range(4):
+            for code in range(p**m, 2 * p**m):
+                try:
+                    g = build_group(ctx, l, Poly.from_code(ctx, code), budget=1000)
+                except BudgetExceeded:
+                    continue
+                for char in g.characters():
+                    if char.is_principal:
+                        continue
+                    lp = l_polynomial(char, l + m + 2)
+                    want = np.roots(np.array(lp.coeffs[: lp.degree + 1][::-1], dtype=complex))
+                    assert repr(lp.roots) == repr(tuple(want)), (l, code, char.char_id)
+                    degrees.add(lp.degree)
+    assert {0, 1} <= degrees
 
 
 def test_hayes_survey_script_smoke(tmp_path):
@@ -457,6 +483,31 @@ def test_hayes_survey_script_smoke(tmp_path):
     for name in ("hayes-coeffs-q2.csv", "hayes-roots-q2.csv", "hayes-charsums-q2.csv"):
         lines = (tmp_path / name).read_text().splitlines()
         assert len(lines) > 1, name  # a header and at least one row
+
+
+# First 16 hex digits of the sha256 of each CSV of a small survey
+# (--lmax 2 --qdegmax 2 --dmax 5), recorded before the survey formatted each
+# group's description once per group instead of once per row.
+SURVEY_DIGESTS = {
+    2: {"hayes-coeffs-q2.csv": "3d37333fbfd7e5ba", "hayes-roots-q2.csv": "f5b3ea991962496d",
+        "hayes-charsums-q2.csv": "860edd28e423b61c"},
+    3: {"hayes-coeffs-q3.csv": "9fb079fd3d0d781b", "hayes-roots-q3.csv": "272b9a544a27f660",
+        "hayes-charsums-q3.csv": "8fde94a34d1680de"},
+}
+
+
+@pytest.mark.parametrize("p", sorted(SURVEY_DIGESTS))
+def test_hayes_survey_csvs_match_frozen_digests(p, tmp_path):
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "hayes_survey.py"
+    res = subprocess.run(
+        [sys.executable, str(script), "--field", str(p), "--lmax", "2", "--qdegmax", "2",
+         "--dmax", "5", "--outdir", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+           for name in SURVEY_DIGESTS[p]}
+    assert got == SURVEY_DIGESTS[p]
 
 
 # -- the index-map walk, the residue cache and the exact degree bound ------------

@@ -292,7 +292,7 @@ def test_product_tables_are_built_once(F3, monkeypatch):
     def no_products(*args):
         raise AssertionError("product table rebuilt")
 
-    monkeypatch.setattr(_sieve, "_product_blocks", no_products)
+    monkeypatch.setattr(_sieve, "_Products", no_products)
     assert np.array_equal(convolve_monic(F3, 5, wb, wa), convolve_monic(F3, 5, wa, wb))
     assert np.array_equal(convolve_monic(F3, 5, wa, wb), want)
 
@@ -349,14 +349,15 @@ def test_sieve_multiplies_factors_up_to_half_degree(F3, monkeypatch):
     # a composite of degree n has its smallest factor in degree <= n/2, so no
     # block multiplies irreducibles of higher degree
     seen = set()
-    product_blocks = _sieve._product_blocks
+    blocks = _sieve._Products.blocks
 
-    def spy(ctx, a, b):
-        seen.add((a.shape[1] - 1, a.shape[1] + b.shape[1] - 2))  # (d, n)
-        return product_blocks(ctx, a, b)
+    def spy(self, lo, hi):
+        d = self.a.shape[1] - 1  # the cofactors are the monics [q^(n-d), 2 q^(n-d))
+        seen.add((d, d + _sieve._ndigits(self.ctx.q, lo) - 1))  # (d, n)
+        return blocks(self, lo, hi)
 
     monkeypatch.setattr(_sieve, "_SIEVES", {})
-    monkeypatch.setattr(_sieve, "_product_blocks", spy)
+    monkeypatch.setattr(_sieve._Products, "blocks", spy)
     _sieve.MonicSieve(F3, 8)
     assert seen == {(d, n) for n in range(2, 9) for d in range(1, n // 2 + 1)}
 
@@ -382,3 +383,123 @@ def test_mobius_over_g_matches_monic_normalisation(ps, n, monkeypatch):
     for code in range(1, ctx.q**n):
         _, f = Poly.from_code(ctx, code).monic()
         assert int(mu[code]) == mobius(f), code
+
+
+# -- the lane product primitive -------------------------------------------------
+
+# (p, s, coefficients of the widest product the lanes hold): 64 // b F_p
+# digits, b = 1 at p = 2, 3 at p = 3, 4 at p = 5 and 7
+LANE_FIELDS = [(2, 1, 64), (3, 1, 21), (5, 1, 16), (7, 1, 16),
+               (2, 2, 32), (2, 3, 21), (3, 2, 10), (5, 2, 8)]
+
+
+def _lane_case(p, s, width, past, kind, seed):
+    """Random rows a and a range of codes c whose products a c have
+    width (+ 1 when past) coefficients; kind "monic" is a whole degree of
+    monic cofactors, "span" an arbitrary [lo, hi) of codes at or above
+    2^14, past the low table of five rows at the default CHUNK_ENTRIES."""
+    ctx = get_field(p, s)
+    q = ctx.q
+    rng = np.random.default_rng(seed)
+    wc = 3 if kind == "monic" else _sieve._ndigits(q, 2**14 - 1) + 1
+    wa = width + past - wc + 1
+    a = rng.integers(0, q, size=(5, wa))
+    a[:, -1] = rng.integers(1, q, size=5)
+    if kind == "monic":
+        lo, hi = q ** (wc - 1), 2 * q ** (wc - 1)
+    else:
+        lo = int(rng.integers(q ** (wc - 1), q**wc - 60))
+        hi = lo + int(rng.integers(1, 60))
+    return ctx, a, lo, hi
+
+
+def _product_matrix(ctx, a, lo, hi, stop):
+    """The products a_i c, c in [lo, hi), as unsigned codes from the
+    primitive's blocks, checking that each comes once and that no block
+    holds more than CHUNK_ENTRIES (or one row times q)."""
+    prod = _sieve._Products(ctx, a, stop)
+    out = np.zeros((len(a), hi - lo), dtype=np.uint64)
+    seen = np.zeros(out.shape, dtype=bool)
+    for i0, c0, words in prod.blocks(lo, hi):
+        rows, cols = words.shape
+        assert rows * cols <= max(_sieve.CHUNK_ENTRIES, ctx.q)
+        cell = (slice(i0, i0 + rows), slice(c0 - lo, c0 - lo + cols))
+        assert not seen[cell].any()
+        seen[cell] = True
+        out[cell] = prod.codes(words).view(np.uint64)
+    assert seen.all()
+    return out
+
+
+def _poly_products(ctx, a, lo, hi):
+    rows = [Poly(ctx, [int(x) for x in row]) for row in a]
+    return [[(f * Poly.from_code(ctx, c)).code for c in range(lo, hi)] for f in rows]
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("kind", ["monic", "span"])
+@pytest.mark.parametrize("field", LANE_FIELDS, ids=lambda f: "q={}^{},N={}".format(*f))
+def test_lane_products_match_poly_mult_at_lane_limit(field, kind, chunk, monkeypatch):
+    p, s, width = field
+    if chunk is not None:
+        monkeypatch.setattr(_sieve, "CHUNK_ENTRIES", chunk)
+    calls = []
+    monkeypatch.setattr(_sieve, "_pair_codes", lambda *args: calls.append(1))
+    ctx, a, lo, hi = _lane_case(p, s, width, 0, kind, seed=17 * p + s)
+    assert s * (a.shape[1] + _sieve._ndigits(ctx.q, hi - 1) - 1) == s * width  # at the limit
+    got = _product_matrix(ctx, a, lo, hi, hi)
+    assert [[int(x) for x in row] for row in got] == _poly_products(ctx, a, lo, hi)
+    # a table built for a larger range gives the same products
+    assert np.array_equal(_product_matrix(ctx, a[:, : a.shape[1] - 1], lo, hi, hi + 1),
+                          np.array(_poly_products(ctx, a[:, :-1], lo, hi), dtype=np.uint64))
+    assert not calls  # no product went past the lanes
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("field", LANE_FIELDS, ids=lambda f: "q={}^{},N={}".format(*f))
+def test_products_past_lane_limit_use_pair_codes(field, chunk, monkeypatch):
+    # one coefficient past the lanes; the codes are compared where float64
+    # holds them exactly (below 2^53), which excludes p = 2
+    p, s, width = field
+    if chunk is not None:
+        monkeypatch.setattr(_sieve, "CHUNK_ENTRIES", chunk)
+    calls = []
+    pair_codes = _sieve._pair_codes
+
+    def spy(ctx, a, b):
+        calls.append(1)
+        return pair_codes(ctx, a, b) if p > 2 else np.zeros((len(a), len(b)), dtype=np.int64)
+
+    monkeypatch.setattr(_sieve, "_pair_codes", spy)
+    for kind in ("monic", "span"):
+        calls.clear()
+        ctx, a, lo, hi = _lane_case(p, s, width, 1, kind, seed=31 * p + s)
+        got = _product_matrix(ctx, a, lo, hi, hi)
+        assert calls
+        if p > 2:
+            assert ctx.q ** (a.shape[1] + _sieve._ndigits(ctx.q, hi - 1) - 1) < 2**53
+            assert [[int(x) for x in row] for row in got] == _poly_products(ctx, a, lo, hi)
+
+
+@pytest.mark.parametrize("ps", [(2, 1), (3, 1), (2, 2)], ids=lambda ps: "q={}^{}".format(*ps))
+def test_sieve_catches_a_composite_written_twice(ps, monkeypatch):
+    # a keep rule that also keeps one product P h with P > spf(h) writes that
+    # composite a second time; the irreducible count still matches, but the
+    # count of kept products does not
+    ctx = get_field(*ps)
+    keep = _sieve.MonicSieve._keep
+    extra = []
+
+    def keep_one_more(P, spf_h):
+        mask = keep(P, spf_h)
+        wrong = np.argwhere(P[:, None] > spf_h[None, :])
+        if not extra and len(wrong):
+            extra.append(tuple(wrong[0]))
+            mask[extra[0]] = True
+        return mask
+
+    monkeypatch.setattr(_sieve, "_SIEVES", {})
+    monkeypatch.setattr(_sieve.MonicSieve, "_keep", staticmethod(keep_one_more))
+    with pytest.raises(AssertionError, match="written more than once"):
+        _sieve.MonicSieve(ctx, 6)
+    assert extra
