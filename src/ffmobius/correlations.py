@@ -9,18 +9,19 @@ the dilations are the tests' independent route to the Vaughan type I / type
 II sums, which the decomposition itself evaluates as the base phase's form
 at the product codes of d w (`_dilation_hists`).
 
-All three phase kinds share one kernel.  Written in the N = s n base-p
-digits of a code, the exponent of e(alpha f), e(alpha f^2 + beta f) and
-chi_r(Q(f)) is a quadratic form over F_p, since F_q multiplication is
-F_p-bilinear and the trace is F_p-linear.  `Phase.form` compiles a phase
-once per number of coordinates into that form (`PhaseForm`), by evaluating
-the phase's own `exponents` at O(N^2) probe codes and checking the result
-on further codes; `phase_hist` then evaluates whole code ranges with one
-matrix product per chunk and takes the histogram with a bincount.  The
-per-phase `exponents` methods remain the reference the kernel is tested
-against.  hankel_corr compares the compiled forms of its two routes, and
-periodic_route_check a table keyed by Hayes class with linear_corr, both
-exactly and without a second kernel pass.
+All three phase kinds share one kernel.  Each is chi_r(Q(f)) with Q of
+degree <= 2 in the coefficients of f, and gives Q as quadratic data
+(M, b, c, r) over F_q (`Phase.quad_data`): a linear phase has M = 0, a
+Hankel phase M = hankel_matrix(alpha).  Since F_q multiplication is
+F_p-bilinear and the trace F_p-linear, the exponent is a quadratic form
+over F_p in the N = s n base-p digits of a code (quadform.digit_form).
+`Phase.form` builds it once per number of coordinates (`PhaseForm`) and
+checks it against the phase's own `exponents` at codes that determine a
+quadratic form, which makes the check an exact second route for every
+phase kind at every p; `phase_hist` then evaluates whole code ranges with
+one matrix product per chunk and takes the histogram with a bincount.
+periodic_route_check compares a table keyed by Hayes class with
+linear_corr exactly and without a second kernel pass.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from .errors import (
     PrecisionExceeded,
 )
 from .fields import FieldCtx
-from .hayes import class_of, head_index, residues_mod
+from .hayes import HayesClass, head_index, residues_mod
 from .laurent import LaurentSeries, dirichlet_approx, sample_torus
 from .polys import Poly
-from .quadform import QuadPhase, hankel_matrix, quad_exponents
+from .quadform import QuadPhase, digit_form, hankel_matrix, quad_exponents
 from . import sieve as _sieve
 
 __all__ = [
@@ -69,9 +70,11 @@ CHUNK = 1 << 15
 
 
 class Phase:
-    """A phase e(E(f)) whose omega_p exponent E is, on the base-p digits of
-    the code of f, a quadratic form over F_p.  Subclasses give `exponents`;
-    `form` compiles it once per number of coordinates."""
+    """A phase chi_r(Q(f)) with Q of degree <= 2 in the coefficients of f.
+    Subclasses give `quad_data(ncoords)`, Q as (M, b, c, r) over F_q (the
+    exponent is Tr(r (x^T M x + b.x + c))), and `exponents`, the phase
+    evaluated on its own terms; `form` compiles the first, checked against
+    the second, once per number of coordinates."""
 
     def form(self, ncoords: int) -> "PhaseForm":
         forms = self.__dict__.setdefault("_forms", {})
@@ -92,6 +95,12 @@ class LinearPhase(Phase):
             raise PrecisionExceeded(
                 f"linear phase needs precision >= {ncoords}, have {self.alpha.prec}"
             )
+
+    def quad_data(self, ncoords: int) -> tuple:
+        """M = 0 and b_i = alpha_(-1-i)."""
+        self.require_prec(ncoords)
+        b = [self.alpha.coefficient(-1 - i) for i in range(ncoords)]
+        return np.zeros((ncoords, ncoords), dtype=np.int64), b, 0, 1
 
     def exponents(self, ncoords: int, codes: np.ndarray) -> np.ndarray:
         ctx, q = self.ctx, self.ctx.q
@@ -123,6 +132,10 @@ class QuadraticPhase(Phase):
             raise ValueError(
                 f"phase is on {self.qp.n} coordinates, asked for {ncoords}"
             )
+
+    def quad_data(self, ncoords: int) -> tuple:
+        self.require_prec(ncoords)
+        return self.qp.M, self.qp.b, self.qp.c, self.qp.r
 
     def exponents(self, ncoords: int, codes: np.ndarray) -> np.ndarray:
         self.require_prec(ncoords)
@@ -163,6 +176,14 @@ class HankelPhase(Phase):
             raise PrecisionExceeded(
                 f"hankel phase needs beta precision >= {ncoords}, have {self.beta.prec}"
             )
+
+    def quad_data(self, ncoords: int) -> tuple:
+        """M = hankel_matrix(alpha) and b_i = beta_(-1-i): (alpha f^2)_(-1)
+        is sum_(i,j) alpha_(-1-i-j) f_i f_j = x^T M x in every characteristic
+        (at p = 2 the pairs i != j cancel, leaving sum alpha_(-1-2i) f_i^2)."""
+        self.require_prec(ncoords)
+        b = [self.beta.coefficient(-1 - i) if self.beta is not None else 0 for i in range(ncoords)]
+        return hankel_matrix(self.alpha, ncoords), b, 0, 1
 
     def exponents(self, ncoords: int, codes: np.ndarray) -> np.ndarray:
         ctx, p = self.ctx, self.ctx.p
@@ -214,12 +235,11 @@ def _digit_rows(codes: np.ndarray, units: np.ndarray, p: int) -> np.ndarray:
 
 
 def _probes(p: int, N: int) -> tuple:
-    """What a compile on N digits over F_p evaluates: the codes 0, p^k, and
+    """What a compile on N digits over F_p checks: the codes 0, p^k, and
     p^k + p^l for all (k, l) row-major (the diagonal is 2 p^k), followed by
-    the check codes (the repunits v (p^N - 1)/(p - 1) and 16 hashed codes);
-    the strict upper triangle as a 0/1 matrix; the powers p^0..p^N as
-    floats; and k mod p for every k up to the largest unreduced exponent
-    PhaseForm.hist can produce, plus p."""
+    the repunits v (p^N - 1)/(p - 1) and 16 hashed codes; the powers
+    p^0..p^N as floats; and k mod p for every k up to the largest unreduced
+    exponent PhaseForm.hist can produce, plus p."""
     key = (p, N)
     if key not in _PROBES:
         P = p**N
@@ -228,9 +248,8 @@ def _probes(p: int, N: int) -> tuple:
         check += [(k * 0x9E3779B97F4A7C15 + 0x632BE5AB) % P for k in range(16)]
         codes = np.concatenate(([0], units, (units[:, None] + units).ravel(), check))
         funits = float(p) ** np.arange(N + 1)
-        upper = np.triu(np.ones((N, N)), 1)
         fold = np.arange(N * (p - 1) ** 2 + 3 * p) % p
-        _PROBES[key] = (codes.astype(np.int64), upper, funits, fold)
+        _PROBES[key] = (codes.astype(np.int64), funits, fold)
     return _PROBES[key]
 
 
@@ -249,35 +268,27 @@ class PhaseForm:
 
     @classmethod
     def compile(cls, phase: Phase, ncoords: int) -> "PhaseForm":
-        """Polarisation: E at the codes 0, p^k and p^k + p^l gives c, then
-        b and diag A (from 2 p^k, odd p), then the cross terms.  The form is
-        then checked against phase.exponents on codes whose digits all
-        equal v, for each v in 1..p-1, and on a fixed hashed sample; a
-        mismatch raises IdentityCheckError."""
+        """The digit_form of phase.quad_data(ncoords), made upper triangular,
+        then checked against phase.exponents at every code of _probes.  The values at the digit
+        vectors 0, e_k and e_k + e_l determine a quadratic form, so the check
+        is exact whenever the exponents are one; the repunit and hashed
+        codes catch exponents that are not.  A mismatch raises
+        IdentityCheckError with the first code that differs."""
         p = phase.ctx.p
-        N = phase.ctx.s * ncoords
-        codes, upper, units, fold = _probes(p, N)
-        E = np.asarray(phase.exponents(ncoords, codes), dtype=np.float64)
-        c, e1 = float(E[0]), E[1 : N + 1]
-        # E(e_k + e_l) - E(e_k) - E(e_l) + c: A_kl for k < l, 2 A_kk on the diagonal
-        X = E[N + 1 : N + 1 + N * N].reshape(N, N) - e1[:, None] - e1 + c
-        A = X * upper % p
-        if p == 2:  # x^2 = x on F_2: the diagonal folds into b
-            b = (e1 - c) % p
-        else:
-            diag = np.diagonal(X) * ((p + 1) // 2) % p
-            A.flat[:: N + 1] = diag
-            b = (e1 - c - diag) % p
-        form = cls(p, A, b, c, units, fold[int(c) :])
-        got = form.exponents(codes[N + 1 + N * N :])
-        want = E[N + 1 + N * N :]
+        A, b, c = digit_form(phase.ctx, *phase.quad_data(ncoords))
+        diag = np.diagonal(A)
+        if p == 2:  # y^2 = y on F_2: the diagonal folds into b
+            b, diag = b + diag, 0 * diag
+        A = np.triu(A + A.T, 1) + np.diag(diag)
+        codes, units, fold = _probes(p, len(b))
+        form = cls(p, (A % p).astype(np.float64), (b % p).astype(np.float64), float(c), units, fold[c:])
+        got, want = form.exponents(codes), phase.exponents(ncoords, codes)
         if (got != want).any():
             j = int(np.nonzero(got != want)[0][0])
             raise IdentityCheckError(
-                "phase exponent is not a quadratic form in the base-p digits",
+                "phase exponents differ from the form of its quadratic data",
                 counterexample=f"{phase.descriptor()} on {ncoords} coordinates, "
-                f"code {int(codes[N + 1 + N * N + j])}: form {int(got[j])}, "
-                f"exponents {int(want[j])}",
+                f"code {int(codes[j])}: form {int(got[j])}, exponents {int(want[j])}",
             )
         return form
 
@@ -492,37 +503,15 @@ def hankel_corr(
     budget: int = 1_200_000,
     workers: int = 1,
 ) -> CorrelationReport:
-    """sum of mu(f) e(alpha f^2 + beta f) over G_n, by explicit squaring.
-
-    In odd characteristic the result is cross-validated against the
-    quadratic route through the Hankel matrix of alpha: the two phases must
-    compile to the same F_p form (A, b and c), so their histograms are
-    equal and the kernel runs once.  Only a mismatch runs the quadratic
-    route's histogram, for the error message.
-    """
+    """sum of mu(f) e(alpha f^2 + beta f) over G_n.  The kernel runs the
+    form of the Hankel matrix of alpha (HankelPhase.quad_data), which its
+    compile checks exactly against explicit squaring, at every p."""
     q = ctx.q
     if q**n > budget:
         raise BudgetExceeded(q**n, budget, "correlation sweep")
     phase = HankelPhase(alpha, beta)
     mu = _sieve.mobius_over_g(ctx, n)
-    hist = phase_hist(ctx, phase, n, 0, q**n, mu, workers)
-    report = _report(ctx, n, "hankel", phase, hist)
-    if ctx.p != 2:
-        M = hankel_matrix(alpha, n)
-        b = np.array(
-            [beta.coefficient(-1 - i) if beta is not None else 0 for i in range(n)],
-            dtype=np.int64,
-        )
-        quad = QuadraticPhase(QuadPhase(ctx, M, b, 0, 1))
-        f1, f2 = phase.form(n), quad.form(n)
-        if not (np.array_equal(f1.A, f2.A) and np.array_equal(f1.b, f2.b) and f1.c == f2.c):
-            hist2 = phase_hist(ctx, quad, n, 0, q**n, mu, workers)
-            raise IdentityCheckError(
-                "hankel and quadratic routes disagree",
-                counterexample=f"n={n}, alpha={alpha.format()}, "
-                f"hankel {hist.tolist()}, quadratic {hist2.tolist()}",
-            )
-    return report
+    return _report(ctx, n, "hankel", phase, phase_hist(ctx, phase, n, 0, q**n, mu, workers))
 
 
 def linear_reduction_hists(ctx: FieldCtx, n: int, alpha: LaurentSeries, budget=1_200_000):
@@ -545,21 +534,23 @@ def linear_reduction_hists(ctx: FieldCtx, n: int, alpha: LaurentSeries, budget=1
 def periodic_corr(ctx: FieldCtx, n: int, l: int, Q: Poly, F, budget: int = 1_200_000):
     """sum over f in A_n of F(class of f) mu(f) for a function F given on
     the classes mod (l, Q); F is a dict keyed by HayesClass (complete over
-    the classes met in A_n) or a callable on classes."""
+    the classes met in A_n) or a callable on classes.  A_n is grouped by
+    class key (residues_mod * q^l + head_index), and F is read once per
+    class that a squarefree f reaches, against the sum of mu over it."""
     q = ctx.q
     if q**n > budget:
         raise BudgetExceeded(q**n, budget, "A_n sweep")
     sieve = _sieve.get_sieve(ctx, max(n, 1))
+    mu = sieve.degree_slice(sieve.mu, n)
+    keys = residues_mod(ctx, Q, n) * q**l + head_index(ctx, l, n)
+    weights = np.bincount(keys, weights=mu)  # exact: integers far below 2^53
     lookup = F if callable(F) else F.__getitem__
     total = 0j
-    for j in range(q**n):
-        code = q**n + j
-        m = int(sieve.mu[code])
-        if not m:
-            continue
-        cls = class_of(Poly.from_code(ctx, code), l, Q)
+    for key in np.unique(keys[mu != 0]).tolist():
+        residue, h = divmod(key, q**l)
+        cls = HayesClass(residue, tuple(h // q**i % q for i in range(l)))
         try:
-            total += m * lookup(cls)
+            total += int(weights[key]) * lookup(cls)
         except KeyError:
             raise ValueError(f"periodic table is missing the class {cls}") from None
     return total

@@ -143,14 +143,17 @@ class HayesGroup:
 
         Multiplication by e_j is F_q-linear on residue digits (rows t^a r_j
         mod Q, from the rows t^k mod Q) and on heads (1, a_1..a_l) (products
-        with (1, b_1..b_l) truncated after u^l): two matrix products."""
-        from .quadform import fq_matmul
+        with (1, b_1..b_l) truncated after u^l): two matrix products, each
+        against the transposed dilation matrix of e_j's part."""
+        from .quadform import dilation_matrix, fq_matmul
 
-        ctx, ql, w = self.ctx, self.ctx.q**self.l, max(self.m, 1)  # Q = 1: one zero digit
+        ctx, l, ql, w = self.ctx, self.l, self.ctx.q**self.l, max(self.m, 1)  # Q = 1: one zero digit
         R = _sieve.codes_to_digits(ctx, self._residues, w)
-        res = fq_matmul(ctx, R, fq_matmul(ctx, _toeplitz(R[j // ql], w, 2 * w - 1), self._tmod))
-        H = _sieve.monic_digit_matrix(ctx, self.l)[:, np.r_[self.l, : self.l]]
-        head = fq_matmul(ctx, H, _toeplitz(H[j % ql], self.l + 1, self.l + 1))[:, 1:]
+        Lr = dilation_matrix(ctx, Poly(ctx, R[j // ql]), 2 * w - 1, w - 1)
+        res = fq_matmul(ctx, R, fq_matmul(ctx, Lr.T, self._tmod))
+        H = _sieve.monic_digit_matrix(ctx, l)[:, np.r_[l, :l]]
+        Lh = dilation_matrix(ctx, Poly(ctx, H[j % ql]), 2 * l + 1, l)[: l + 1]
+        head = fq_matmul(ctx, H, Lh.T)[:, 1:]
         rank = self._residue_rank[_sieve.digits_to_codes(ctx, res)]
         return (rank[:, None] * ql + _sieve.digits_to_codes(ctx, head)).ravel()
 
@@ -341,14 +344,6 @@ def poly_coprime(f: Poly, Q: Poly) -> bool:
     return g.deg == 0
 
 
-def _toeplitz(v, rows: int, cols: int) -> np.ndarray:
-    """T[a, a + b] = v[b], cut after column cols: times v on coefficient rows."""
-    T = np.zeros((rows, cols), dtype=np.int64)
-    for a in range(rows):
-        T[a, a : a + len(v)] = v[: cols - a]
-    return T
-
-
 def _tmod_rows(ctx: FieldCtx, Q: Poly, n: int) -> np.ndarray:
     """(n + 1, deg Q) digits of t^k mod Q for k = 0..n."""
     m = int(Q.deg)
@@ -502,8 +497,8 @@ def _cache_group_roots(g: HayesGroup, C: np.ndarray, top: int):
     g._roots_cache, from the (n_max + 1, order) coefficient table C.  The
     deflated degree is the last k in 1..top with |c_k| > VANISH_TOL (0 when
     there is none), and the roots of each degree come from one
-    _stacked_roots.  A polynomial whose constant term is exactly 0 goes
-    through np.roots, which strips trailing zeros."""
+    _stacked_roots.  No constant term is 0: c_0 = lambda(1) = 1 exactly,
+    since A_0 = {1} and 1 is the identity class."""
     ids = np.arange(1, g.order)
     big = np.abs(C[1 : top + 1, ids]) > VANISH_TOL
     degs = np.zeros(len(ids), dtype=np.int64)
@@ -511,12 +506,7 @@ def _cache_group_roots(g: HayesGroup, C: np.ndarray, top: int):
         degs = np.where(big.any(axis=0), top - np.argmax(big[::-1], axis=0), 0)
     for deg in np.unique(degs).tolist():
         chars = [i for i in ids[degs == deg].tolist() if (i, deg) not in g._roots_cache]
-        stacked = [i for i in chars if C[0, i] != 0]
-        for i in chars:
-            if C[0, i] == 0:
-                g._roots_cache[(i, deg)] = np.roots(C[deg::-1, i])
-        roots = _stacked_roots(C[deg::-1, stacked].T)
-        for i, r in zip(stacked, roots):
+        for i, r in zip(chars, _stacked_roots(C[deg::-1, chars].T)):
             g._roots_cache[(i, deg)] = r
 
 

@@ -6,9 +6,11 @@ of M.  Everything is exact: matrices hold field codes, elimination uses the
 field tables, and exponential means are assembled from integer exponent
 histograms.  Products and forms go through the field's digit layer
 (FieldCtx.DIGITS, MULMAT): fq_matmul is one integer matmul on base-p
-digits, and quad_exponents is one F_p quadratic form on the s n base-p
-digits of a code, the form QuadraticPhase compiles for phase_hist, which
-gauss_mean and isotropic_count use.  The symmetrised compression
+digits, and digit_form turns quadratic data (M, b, c, r) into one F_p
+quadratic form on the s n base-p digits of a code.  quad_exponents
+evaluates that form (isotropic_count uses it), and every phase of
+correlations, linear and Hankel included, compiles its form for
+phase_hist from it (gauss_mean sums that).  The symmetrised compression
 (L_a^T M L_b + L_b^T M L_a)/2 needs odd characteristic; for Hankel matrices
 the single product L_a^T M L_b is already symmetric and is used instead,
 which keeps the characteristic-2 case available where it makes sense.
@@ -32,6 +34,7 @@ __all__ = [
     "RankStats",
     "rank",
     "fq_matmul",
+    "digit_form",
     "quad_exponents",
     "gauss_mean",
     "isotropic_count",
@@ -132,22 +135,31 @@ def fq_matmul(ctx: FieldCtx, A, B) -> np.ndarray:
     return (X @ W % ctx.p).reshape(m, n, s) @ ctx.p ** np.arange(s)
 
 
-def quad_exponents(phase: QuadPhase, codes: np.ndarray) -> np.ndarray:
-    """omega_p exponents Tr(r (x^T M x + b.x + c)) for the coefficient
-    vectors of the given codes.
-
-    On the N = s n base-p digits y of a code this is y^T A y + b'.y + Tr(r c)
-    mod p, with T[k, l] = Tr(x^k x^l) and tau_t = Tr(x^t): block (i, j) of A
-    is T MULMAT[r M_ij], and b'_i = tau MULMAT[r b_i]."""
-    ctx, n, p, s = phase.ctx, phase.n, phase.ctx.p, phase.ctx.s
+def digit_form(ctx: FieldCtx, M, b, c: int = 0, r: int = 1) -> tuple:
+    """Tr(r (x^T M x + b.x + c)) as an F_p quadratic form y^T A y + b'.y + c'
+    on the N = s n base-p digits y of x in F_q^n (digit t of x_i at y_(i s + t),
+    the digits of the code of x).  With T[k, l] = Tr(x^k x^l) and
+    tau_t = Tr(x^t), block (i, j) of A is T MULMAT[r M_ij], b'_i is
+    tau MULMAT[r b_i] and c' = Tr(r c).  Returns (A, b', c') with residues
+    mod p; A is not made symmetric or triangular, and M need not be."""
+    M, b = _as_matrix(ctx, M), _as_matrix(ctx, b)
+    n, p, s = len(b), ctx.p, ctx.s
     basis = p ** np.arange(s)  # the codes of x^0, ..., x^(s-1)
     T = ctx.TRACE[ctx.MUL[basis[:, None], basis]]
-    A = T @ ctx.MULMAT[ctx.MUL[phase.r][phase.M]] % p  # block (i, j) at A[i, j]
+    A = T @ ctx.MULMAT[ctx.MUL[r][M]] % p  # block (i, j) at A[i, j]
     A = A.transpose(0, 2, 1, 3).reshape(s * n, s * n)
-    b = (ctx.TRACE[basis] @ ctx.MULMAT[ctx.MUL[phase.r][phase.b]] % p).ravel()
-    Y = ctx.DIGITS[_sieve.codes_to_digits(ctx, codes, n)].reshape(len(codes), s * n)
-    v = ((Y @ A) * Y).sum(axis=1) + Y @ b + ctx.TRACE[ctx.mul(phase.r, phase.c)]
-    return v % p
+    b = (ctx.TRACE[basis] @ ctx.MULMAT[ctx.MUL[r][b]] % p).ravel()
+    return A, b, int(ctx.TRACE[ctx.mul(r, c)])
+
+
+def quad_exponents(phase: QuadPhase, codes: np.ndarray) -> np.ndarray:
+    """omega_p exponents Tr(r (x^T M x + b.x + c)) for the coefficient
+    vectors of the given codes: the digit_form of the phase on their
+    base-p digits."""
+    ctx = phase.ctx
+    A, b, c = digit_form(ctx, phase.M, phase.b, phase.c, phase.r)
+    Y = ctx.DIGITS[_sieve.codes_to_digits(ctx, codes, phase.n)].reshape(len(codes), len(b))
+    return (((Y @ A) * Y).sum(axis=1) + Y @ b + c) % ctx.p
 
 
 def gauss_mean(phase: QuadPhase, budget: int = 1_200_000, tol: float = 1e-9) -> complex:
@@ -225,11 +237,9 @@ def dilation_matrix(ctx: FieldCtx, a: Poly, n: int, k: int) -> np.ndarray:
     """Coordinate matrix of w -> a w from G_(n-k) to G_n: L[i,j] = a_(i-j)."""
     if not a.is_zero() and a.deg > k:
         raise ValueError("deg a must be <= k")
-    L = np.zeros((n, n - k), dtype=np.int64)
-    for j in range(n - k):
-        for i in range(n):
-            L[i, j] = a.coefficient(i - j)
-    return L
+    v = np.array((a.coeffs + (0,) * n)[:n], dtype=np.int64)
+    lag = np.subtract.outer(np.arange(n), np.arange(n - k))  # i - j
+    return np.where(lag >= 0, v[lag], 0)
 
 
 def m_ab(ctx: FieldCtx, M: np.ndarray, a: Poly, b: Poly, k: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -169,10 +170,14 @@ def test_phase_compiled_once_per_ncoords(F3):
 
 
 class _CubicPhase(Phase):
-    """Exponent x_0^3 in the constant digit: not a quadratic form for p = 5."""
+    """Exponent x_0^3 in the constant digit: not a quadratic form for p = 5,
+    declared with zero quadratic data."""
 
     def __init__(self, ctx):
         self.ctx = ctx
+
+    def quad_data(self, ncoords):
+        return np.zeros((ncoords, ncoords), dtype=np.int64), np.zeros(ncoords, dtype=np.int64), 0, 1
 
     def exponents(self, ncoords, codes):
         return (codes % 5) ** 3 % 5
@@ -182,8 +187,46 @@ class _CubicPhase(Phase):
 
 
 def test_compile_self_check_rejects_cubic_phase(F5):
-    with pytest.raises(IdentityCheckError, match="not a quadratic form"):
+    with pytest.raises(IdentityCheckError, match="differ from the form of its quadratic data") as err:
         phase_hist(F5, _CubicPhase(F5), 3, 0, 5**3)
+    assert "cubic on 3 coordinates, code 1: form 0, exponents 1" in str(err.value)
+
+
+def _one_entry_changes(ctx, M, b):
+    """(M', b') with exactly one entry of M, or of b when M is zero, moved
+    to another field element, for every such entry."""
+    M, b = np.array(M, dtype=np.int64), np.array(b, dtype=np.int64)
+    target = b if not M.any() else M
+    for idx in np.ndindex(target.shape):
+        changed = target.copy()
+        changed[idx] = (changed[idx] + 1) % ctx.q
+        yield (M, changed) if target is b else (changed, b)
+
+
+@pytest.mark.parametrize("name,n", [("F2", 5), ("F3", 4), ("F4", 3), ("F8", 2), ("F9", 2)])
+@pytest.mark.parametrize("kind", ["linear", "hankel", "quadratic"])
+def test_form_of_quad_data_is_checked_exactly(name, n, kind, request):
+    # the compiled form equals the phase's exponents on every code, and a
+    # change to one entry of alpha (a linear phase's b), of the Hankel
+    # matrix or of M is caught by the compile, at p = 2, 3 and s > 1
+    ctx = request.getfixturevalue(name)
+    rng = np.random.default_rng(ctx.q)
+    alpha = sample_torus(ctx, rng, 2 * n + 2)
+    if kind == "linear":
+        phase = LinearPhase(alpha)
+    elif kind == "hankel":
+        phase = HankelPhase(alpha, sample_torus(ctx, rng, n + 1))
+    else:
+        M = np.triu(rng.integers(0, ctx.q, size=(n, n)))
+        qp = QuadPhase(ctx, M + np.triu(M, 1).T, rng.integers(0, ctx.q, size=n), 1, 1)
+        phase = QuadraticPhase(qp)
+    codes = np.arange(ctx.q**n)
+    assert np.array_equal(phase.form(n).exponents(codes), phase.exponents(n, codes))
+    M, b, c, r = phase.quad_data(n)
+    for M2, b2 in _one_entry_changes(ctx, M, b):
+        phase.quad_data = lambda ncoords: (M2, b2, c, r)
+        with pytest.raises(IdentityCheckError, match="quadratic data"):
+            correlations.PhaseForm.compile(phase, n)
 
 
 def test_quad_zero_phase(F3):
@@ -241,39 +284,51 @@ def test_hankel_dual_route(F3, F5):
             assert rep.hist == rep2.hist
 
 
-def test_hankel_cross_check_is_exact(F3, monkeypatch):
-    # a Hankel matrix off by one entry makes the quadratic route disagree
-    alpha = sample_torus(F3, 21, 10)
-    beta = sample_torus(F3, 22, 5)
-    hankel_corr(F3, 4, alpha, beta)
+def test_hankel_cross_check_is_exact(F2, F3, F4, monkeypatch):
+    # a Hankel matrix off by one entry no longer matches explicit squaring:
+    # the compile names the first code that differs, at every p
+    for ctx in (F2, F3, F4):
+        alpha = sample_torus(ctx, 21, 10)
+        beta = sample_torus(ctx, 22, 5)
+        hankel_corr(ctx, 4, alpha, beta)
 
-    def perturbed(alpha, n):
-        M = hankel_matrix(alpha, n)
-        M[0, 0] = (M[0, 0] + 1) % 3
-        return M
+        def perturbed(alpha, n):
+            M = hankel_matrix(alpha, n)
+            M[0, 0] = (M[0, 0] + 1) % ctx.q
+            return M
 
-    monkeypatch.setattr(correlations, "hankel_matrix", perturbed)
-    with pytest.raises(IdentityCheckError, match="routes disagree") as err:
-        hankel_corr(F3, 4, alpha, beta)
-    msg = str(err.value)
-    assert "n=4" in msg and f"alpha={alpha.format()}" in msg
-    assert "hankel [" in msg and "quadratic [" in msg
+        monkeypatch.setattr(correlations, "hankel_matrix", perturbed)
+        with pytest.raises(IdentityCheckError, match="quadratic data") as err:
+            hankel_corr(ctx, 4, alpha, beta)
+        monkeypatch.undo()
+        msg = str(err.value)
+        phase = HankelPhase(alpha, beta)
+        assert f"{phase.descriptor()} on 4 coordinates, code " in msg
+        code, form, exps = (int(x) for x in re.search(r"code (\d+): form (\d+), exponents (\d+)", msg).groups())
+        assert exps == phase.exponents(4, np.array([code]))[0] != form
 
 
-def test_hankel_kernel_runs_once(F3, F9, monkeypatch):
-    # the routes are compared as compiled forms, so one phase_hist per sum
-    calls = []
+def test_hankel_kernel_runs_once(F2, F3, F4, F9, monkeypatch):
+    # the route check is the compile's, so one form and one phase_hist per sum
+    calls, compiles = [], []
+    compile_ = correlations.PhaseForm.compile
 
     def spy(*args, **kwargs):
         calls.append(args[1])
         return phase_hist(*args, **kwargs)
 
+    def counted_compile(cls, phase, ncoords):
+        compiles.append(phase)
+        return compile_(phase, ncoords)
+
     monkeypatch.setattr(correlations, "phase_hist", spy)
-    for ctx in (F3, F9):
+    monkeypatch.setattr(correlations.PhaseForm, "compile", classmethod(counted_compile))
+    for ctx in (F2, F3, F4, F9):
         for beta in (None, sample_torus(ctx, 32, 4)):
-            calls.clear()
+            calls.clear(), compiles.clear()
             rep = hankel_corr(ctx, 3, sample_torus(ctx, 31, 8), beta)
             assert len(calls) == 1 and isinstance(calls[0], HankelPhase)
+            assert compiles == calls
             assert rep.terms == ctx.q**3
 
 
@@ -285,7 +340,7 @@ def test_hankel_n_zero(ctx, request):
     assert rep.hist == (0,) * ctx.p and rep.terms == 1
 
 
-def test_hankel_char2_works_without_crosscheck(F2):
+def test_hankel_char2_checked_against_squaring(F2):
     alpha = sample_torus(F2, 8, 30)
     beta = sample_torus(F2, 9, 10)
     rep = hankel_corr(F2, 6, alpha, beta)

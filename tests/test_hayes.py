@@ -434,11 +434,10 @@ def test_hayes_outputs_match_frozen_digests(key, chunk, monkeypatch):
 
 def test_roots_computed_once_per_character(F3, monkeypatch):
     g = build_group(F3, 1, P(F3, "1,1"))
-    # roots come from np.roots one polynomial at a time, or from
-    # _stacked_roots one row per polynomial; each character's once
+    # roots come from _stacked_roots, one row per polynomial; each
+    # character's once
     calls = []
-    real_roots, stacked_roots = np.roots, hayes._stacked_roots
-    monkeypatch.setattr(hayes.np, "roots", lambda c: calls.append(1) or real_roots(c))
+    stacked_roots = hayes._stacked_roots
     monkeypatch.setattr(hayes, "_stacked_roots", lambda P: calls.extend([1] * len(P)) or stacked_roots(P))
     chars = [c for c in g.characters() if not c.is_principal]
     for char in chars:
@@ -466,6 +465,7 @@ def test_group_roots_match_np_roots(p):
                     if char.is_principal:
                         continue
                     lp = l_polynomial(char, l + m + 2)
+                    assert lp.coeffs[0] == 1  # lambda(1): no constant term is 0
                     want = np.roots(np.array(lp.coeffs[: lp.degree + 1][::-1], dtype=complex))
                     assert repr(lp.roots) == repr(tuple(want)), (l, code, char.char_id)
                     degrees.add(lp.degree)
