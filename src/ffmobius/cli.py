@@ -127,19 +127,48 @@ FLAG_TYPES = {
 }
 
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand registered.  When only names a
-    subcommand, only that subparser gets its flags: building the other
-    fifteen would cost a cold run more than parsing does, and argparse
-    never consults them."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand and its flags: the reference for
+    what main accepts, and the only source of help, usage and error text."""
     ap = argparse.ArgumentParser(prog="ffmobius", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name, opts in SUBCOMMAND_FLAGS.items():
         sp = sub.add_parser(name)
-        if only not in SUBCOMMAND_FLAGS or only == name:
-            for flag, kind in COMMON_FLAGS + opts:
-                sp.add_argument(flag, type=kind, default=None)
+        for flag, kind in COMMON_FLAGS + opts:
+            sp.add_argument(flag, type=kind, default=None)
     return ap
+
+
+# argparse reads a token that matches this as a value, not as an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _read_exact(argv: list) -> argparse.Namespace | None:
+    """The Namespace _build_parser() would give argv, read from the flag
+    table, when argv is a subcommand followed by exact flags of it, each as
+    `--flag value` or `--flag=value`, with no separate value that argparse
+    could take for an option and every value converted by its flag's type.
+    None for any other argv (help, `--`, abbreviations, errors), which is
+    left to argparse: building its parsers costs a cold run more than the
+    reading does."""
+    if not argv or argv[0] not in SUBCOMMAND_FLAGS:
+        return None
+    kinds = dict(COMMON_FLAGS + SUBCOMMAND_FLAGS[argv[0]])
+    values = dict.fromkeys((flag[2:] for flag in kinds), None)
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        flag, eq, value = tok.partition("=")
+        if flag not in kinds:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None or (value.startswith("-") and not _NEGATIVE_NUMBER.match(value)):
+                return None
+        try:
+            values[flag[2:]] = kinds[flag](value)
+        except ValueError:
+            return None
+    return argparse.Namespace(subcommand=argv[0], **values)
 
 
 class UsageError(Exception):
@@ -162,7 +191,8 @@ def _config_value(key: str, value):
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Layer builtin defaults, then the config file, then explicit flags."""
+    """Layer builtin defaults, then the config file, then explicit flags;
+    then check the format, the budget and every integer's least value."""
     cli = {k: v for k, v in vars(args).items() if k != "subcommand"}
     file_cfg = {}
     cfg_path = cli.get("config")
@@ -185,6 +215,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise UsageError(f"unknown format {out.get('format')!r}")
     if out.get("budget") is None or out["budget"] <= 0:
         raise UsageError("budget must be positive")
+    for key, value in out.items():  # --budget keeps its own check above
+        least = 1 if key == "workers" else 0
+        if FLAG_TYPES[key] is int and key != "budget" and value is not None and value < least:
+            raise UsageError(f"--{key} {value} must be >= {least}")
     return out
 
 
@@ -243,12 +277,6 @@ def _parse_alpha(ctx, text: str, rng, prec: int, flag: str) -> LaurentSeries:
 # that draw nothing never import numpy.random.
 
 
-def _nonnegative(cfg, *keys):
-    for key in keys:
-        if cfg[key] < 0:
-            raise UsageError(f"--{key} {cfg[key]} must be >= 0")
-
-
 def run_pnt(ctx, cfg, rng):
     rows = []
     for l in range(1, cfg["lmax"] + 1):
@@ -281,7 +309,6 @@ def run_mobius_sums(ctx, cfg, rng):
 
 
 def run_divisor_moments(ctx, cfg, rng):
-    _nonnegative(cfg, "nmax")
     rows = []
     taus = {n: (m, r) for n, m, r in max_tau_report(ctx, min(cfg["nmax"], _budget_deg(ctx, cfg)), cfg["budget"])}
     for n in range(1, cfg["nmax"] + 1):
@@ -372,7 +399,6 @@ def run_logderiv_check(ctx, cfg, rng):
 
 
 def run_linear_corr(ctx, cfg, rng):
-    _nonnegative(cfg, "n")
     n = cfg["n"]
     alpha = _parse_alpha(ctx, cfg["alpha"], rng, n + 1, "--alpha")
     rep = linear_corr(ctx, n, alpha, cfg["domain"], cfg["budget"], cfg["workers"])
@@ -394,7 +420,6 @@ def run_linear_corr(ctx, cfg, rng):
 
 
 def run_quad_corr(ctx, cfg, rng):
-    _nonnegative(cfg, "n")
     n = cfg["n"]
     rows = []
     for trial in range(cfg["trials"]):
@@ -406,7 +431,6 @@ def run_quad_corr(ctx, cfg, rng):
 
 
 def run_hankel_corr(ctx, cfg, rng):
-    _nonnegative(cfg, "n")
     n = cfg["n"]
     rows = []
     for trial in range(cfg["trials"]):
@@ -419,7 +443,6 @@ def run_hankel_corr(ctx, cfg, rng):
 
 
 def run_vaughan_audit(ctx, cfg, rng):
-    _nonnegative(cfg, "n")
     n = cfg["n"]
     phase = LinearPhase(sample_torus(ctx, rng(), n + 2))
     rep = vaughan_decompose(ctx, n, phase, cfg["u"], cfg["v"], cfg["budget"], cfg["workers"])
@@ -446,7 +469,6 @@ def run_vaughan_audit(ctx, cfg, rng):
 def run_gauss_sums(ctx, cfg, rng):
     if ctx.p == 2:
         raise CharacteristicError("gauss-sums requires odd characteristic (p > 2)")
-    _nonnegative(cfg, "n")
     n = cfg["n"]
     rows = []
     for trial in range(cfg["trials"]):
@@ -461,7 +483,6 @@ def run_gauss_sums(ctx, cfg, rng):
 
 
 def run_isotropic(ctx, cfg, rng):
-    _nonnegative(cfg, "n", "r")
     n, r = cfg["n"], cfg["r"]
     rows = []
     for trial in range(cfg["trials"]):
@@ -478,7 +499,7 @@ def run_isotropic(ctx, cfg, rng):
 
 def run_rank_stats(ctx, cfg, rng):
     n, k, h = cfg["n"], cfg["k"], cfg["h"]
-    if not 0 <= k <= n:
+    if k > n:
         raise UsageError(f"--k {k} must lie in 0..{n}, the value of --n")
     alpha = sample_torus(ctx, rng(), 2 * n + 2)
     M = hankel_matrix(alpha, n)
@@ -493,7 +514,6 @@ def run_rank_stats(ctx, cfg, rng):
 
 
 def run_exponent_sweep(ctx, cfg, rng):
-    _nonnegative(cfg, "nmin")
     ns = range(cfg["nmin"], cfg["nmax"] + 1)
     rows = exponent_sweep(
         ctx, cfg["experiment"], ns, cfg["samples"], cfg["seed"], cfg["budget"], cfg["workers"]
@@ -541,7 +561,7 @@ def _join_series_literals(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = _join_series_literals(sys.argv[1:] if argv is None else argv)
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_exact(argv) or _build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         try:

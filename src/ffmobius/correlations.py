@@ -42,7 +42,7 @@ from .fields import FieldCtx
 from .hayes import HayesClass, head_index, residues_mod
 from .laurent import LaurentSeries, dirichlet_approx, sample_torus
 from .polys import Poly
-from .quadform import QuadPhase, digit_form, hankel_matrix, quad_exponents
+from .quadform import QuadPhase, digit_form, hankel_matrix
 from . import sieve as _sieve
 
 __all__ = [
@@ -138,8 +138,20 @@ class QuadraticPhase(Phase):
         return self.qp.M, self.qp.b, self.qp.c, self.qp.r
 
     def exponents(self, ncoords: int, codes: np.ndarray) -> np.ndarray:
+        """Tr(r Q(x)) on the F_q coordinates x of each code, by the MUL and
+        TRACE tables alone (not by the digit form): with x' = (x, 1),
+        Q(x) = x'^T M' x' for M' = [[M, 0], [b, c]], and the trace is
+        F_p-linear, so the exponent is sum Tr(r M'_ij x'_i x'_j) mod p."""
+        ctx, qp, q = self.ctx, self.qp, self.ctx.q
         self.require_prec(ncoords)
-        return quad_exponents(self.qp, codes)
+        X = np.ones((len(codes), ncoords + 1), dtype=np.int64)
+        X[:, :-1] = codes[:, None] // q ** np.arange(ncoords) % q
+        Mx = np.zeros((ncoords + 1, ncoords + 1), dtype=np.int64)
+        Mx[:-1, :-1], Mx[-1, :-1], Mx[-1, -1] = qp.M, qp.b, qp.c
+        k = (ncoords + 1) ** 2
+        T = ctx.TRACE[ctx.MUL[ctx.MUL[qp.r][Mx]]].ravel()  # y -> Tr(r M'_ij y) at ij q + y
+        XX = (X[:, :, None] * q + X[:, None, :]).reshape(len(codes), k)  # MUL index of x'_i x'_j
+        return T[ctx.MUL.ravel()[XX] + np.arange(0, k * q, q)].sum(axis=1) % ctx.p
 
     def compose_dilation(self, d: Poly):
         from .quadform import dilation_matrix, fq_matmul
@@ -747,6 +759,8 @@ def vaughan_decompose(
         u = n // 18
     if v is None:
         v = n // 18
+    if u < 0 or v < 0:
+        raise ValueError("u >= 0 and v >= 0 required")
     if u + v >= n:
         raise ValueError("u + v < n required")
     if q**n > budget:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 SUBCOMMANDS_SMALL = [
     ["pnt", "--field", "2", "--lmax", "6"],
@@ -193,24 +194,50 @@ def test_rank_stats_k_above_n_names_the_flag():
     assert "negative dimensions" not in res.stderr
 
 
-@pytest.mark.parametrize("args, flag", [
-    (["gauss-sums", "--field", "3", "--n", "-1"], "--n -1"),
-    (["quad-corr", "--field", "3", "--n", "-2"], "--n -2"),
-    (["isotropic", "--field", "3", "--n", "-1"], "--n -1"),
-    (["isotropic", "--field", "3", "--n", "4", "--r", "-1"], "--r -1"),
-    (["vaughan-audit", "--field", "2", "--n", "-1"], "--n -1"),
-    (["divisor-moments", "--field", "2", "--nmax", "-1"], "--nmax -1"),
-    (["linear-corr", "--field", "3", "--n", "-1"], "--n -1"),
-    (["hankel-corr", "--field", "3", "--n", "-1"], "--n -1"),
-    (["exponent-sweep", "--field", "3", "--nmin", "-2"], "--nmin -2"),
+@pytest.mark.parametrize("args, message", [
+    (["gauss-sums", "--field", "3", "--n", "-1"], "--n -1 must be >= 0"),
+    (["quad-corr", "--field", "3", "--n", "-2"], "--n -2 must be >= 0"),
+    (["isotropic", "--field", "3", "--n", "-1"], "--n -1 must be >= 0"),
+    (["isotropic", "--field", "3", "--n", "4", "--r", "-1"], "--r -1 must be >= 0"),
+    (["vaughan-audit", "--field", "2", "--n", "-1"], "--n -1 must be >= 0"),
+    (["divisor-moments", "--field", "2", "--nmax", "-1"], "--nmax -1 must be >= 0"),
+    (["linear-corr", "--field", "3", "--n", "-1"], "--n -1 must be >= 0"),
+    (["hankel-corr", "--field", "3", "--n", "-1"], "--n -1 must be >= 0"),
+    (["exponent-sweep", "--field", "3", "--nmin", "-2"], "--nmin -2 must be >= 0"),
+    (["vaughan-audit", "--field", "2", "--n", "8", "--u", "-1", "--v", "1"], "--u -1 must be >= 0"),
+    (["rank-stats", "--field", "2", "--n", "4", "--mode", "sampled", "--samples", "-3"],
+     "--samples -3 must be >= 0"),
+    (["linear-corr", "--field", "2", "--n", "4", "--workers", "0"], "--workers 0 must be >= 1"),
+    (["linear-corr", "--field", "2", "--n", "4", "--workers", "-1"], "--workers -1 must be >= 1"),
+    (["linear-corr", "--field", "2", "--n", "4", "--work", "0"], "--workers 0 must be >= 1"),
+    (["quad-corr", "--field", "3", "--n", "2", "--trials", "-1"], "--trials -1 must be >= 0"),
+    (["exponent-sweep", "--field", "2", "--nmin", "2", "--nmax", "3", "--samples", "-2"],
+     "--samples -2 must be >= 0"),
+    (["pnt", "--field", "2", "--lmax", "-3"], "--lmax -3 must be >= 0"),
+    (["mobius-sums", "--field", "2", "--nmax", "-1"], "--nmax -1 must be >= 0"),
+    (["hayes-lfunc", "--field", "2", "--l", "-1", "--Q", "0,1"], "--l -1 must be >= 0"),
+    (["pnt", "--field", "2", "--seed", "-1"], "--seed -1 must be >= 0"),
 ], ids=["gauss-n", "quad-n", "isotropic-n", "isotropic-r", "vaughan-n", "divisor-nmax", "linear-n",
-        "hankel-n", "sweep-nmin"])
-def test_negative_size_names_the_flag(args, flag, capsys):
+        "hankel-n", "sweep-nmin", "vaughan-u", "rank-samples", "workers-0", "workers-neg",
+        "workers-abbrev", "quad-trials", "sweep-samples", "pnt-lmax", "mobius-nmax", "hayes-l",
+        "seed"])
+def test_negative_size_names_the_flag(args, message, capsys):
+    # one rule for every integer flag, on the exact-flag reader and on the
+    # argparse path (--work is an abbreviation)
     import ffmobius.cli as cli
 
     assert cli.main(args) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {flag} must be >= 0\n" and captured.out == ""
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_negative_config_value_names_the_flag(tmp_path, capsys):
+    import ffmobius.cli as cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": -1, "workers": 2}))
+    assert cli.main(["linear-corr", "--field", "3", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: --n -1 must be >= 0\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -341,13 +368,82 @@ def test_parser_output_matches_parser_with_every_flag(argv, monkeypatch, capsys)
     assert outcome(lambda: cli.main(list(argv))) == want
 
 
-def test_parser_for_one_subcommand_skips_the_other_flags():
+def test_small_commands_build_no_argparse_parser(tmp_path, monkeypatch):
+    # exact flags are read from the flag table; argparse is only for help,
+    # errors and abbreviations
+    import argparse
+
     import ffmobius.cli as cli
 
-    subparsers = cli._build_parser("pnt")._subparsers._group_actions[0].choices
-    assert list(subparsers) == list(cli.RUNNERS)
-    assert "--lmax" in subparsers["pnt"]._option_string_actions
-    assert "--field" not in subparsers["linear-corr"]._option_string_actions
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for args in SUBCOMMANDS_SMALL:
+        assert cli.main(args + ["--out", str(tmp_path / f"{args[0]}.csv")]) == 0
+    assert built == []
+    cli._build_parser()
+    assert built  # the spy sees a parser when one is built
+
+
+def _flag_table_argvs():
+    import ffmobius.cli as cli
+
+    every_flag = sorted(set(cli.FLAG_TYPES))
+    values = st.one_of(
+        st.integers(-30, 30).map(str),
+        st.sampled_from(["", "x", "1.5", "-.5", "-x", "--n", "-", " 3", "0:1,2", "-1:1,0,2", "a=b"]),
+    )
+
+    @st.composite
+    def argvs(draw):
+        sub = draw(st.sampled_from(list(cli.SUBCOMMAND_FLAGS) + ["frobnicate", "--field"]))
+        own = [flag for flag, _ in cli.COMMON_FLAGS + cli.SUBCOMMAND_FLAGS.get(sub, ())]
+        argv = [sub]
+        for _ in range(draw(st.integers(0, 6))):
+            kind = draw(st.sampled_from(["space"] * 6 + ["equals"] * 4 + ["other", "abbrev", "bare", "special"]))
+            flag = draw(st.sampled_from(own))
+            if kind == "other":
+                flag = "--" + draw(st.sampled_from(every_flag))
+            elif kind == "abbrev":
+                flag = flag[: draw(st.integers(3, max(3, len(flag) - 1)))]
+            if kind == "special":
+                argv.append(draw(st.sampled_from(["-h", "--help", "--", "-n"])))
+            elif kind == "bare":
+                argv.append(flag)
+            elif kind == "equals":
+                argv.append(f"{flag}={draw(values)}")
+            else:
+                argv += [flag, draw(values)]
+        return argv
+
+    return argvs()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_flag_table_argvs())
+def test_exact_reader_agrees_with_argparse(argv):
+    import ffmobius.cli as cli
+
+    got = cli._read_exact(argv)
+    if got is not None:
+        assert got == cli._build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pnt"],
+    ["hankel-corr", "--n", "3", "--alpha=-1:1,2", "--beta", "0", "--n=-4", "--trials", "2"],
+    ["isotropic", "--r", "-2", "--out=", "--field", ""],
+], ids=["bare", "repeats", "empty"])
+def test_exact_reader_takes_exact_flags(argv):
+    import ffmobius.cli as cli
+
+    got = cli._read_exact(argv)
+    assert got is not None and got == cli._build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("value, reason", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ffmobius import Poly, get_field, mobius
-from ffmobius import correlations
+from ffmobius import correlations, quadform
 from ffmobius.errors import CharacteristicError, IdentityCheckError, PrecisionExceeded
 from ffmobius.hayes import build_group, class_of, l_polynomial
 from ffmobius.laurent import LaurentSeries, sample_torus
@@ -205,7 +205,7 @@ def _one_entry_changes(ctx, M, b):
 
 @pytest.mark.parametrize("name,n", [("F2", 5), ("F3", 4), ("F4", 3), ("F8", 2), ("F9", 2)])
 @pytest.mark.parametrize("kind", ["linear", "hankel", "quadratic"])
-def test_form_of_quad_data_is_checked_exactly(name, n, kind, request):
+def test_form_of_quad_data_is_checked_exactly(name, n, kind, request, monkeypatch):
     # the compiled form equals the phase's exponents on every code, and a
     # change to one entry of alpha (a linear phase's b), of the Hankel
     # matrix or of M is caught by the compile, at p = 2, 3 and s > 1
@@ -227,6 +227,20 @@ def test_form_of_quad_data_is_checked_exactly(name, n, kind, request):
         phase.quad_data = lambda ncoords: (M2, b2, c, r)
         with pytest.raises(IdentityCheckError, match="quadratic data"):
             correlations.PhaseForm.compile(phase, n)
+    if kind == "quadratic" and name == "F3":
+        # a quadratic phase's exponents do not go through digit_form, so a
+        # wrong entry in the digit form itself is caught as well
+        def corrupted(*args):
+            A, b2, c2 = digit_form(*args)
+            A = A.copy()
+            A[0, 1] = (A[0, 1] + 1) % ctx.p
+            return A, b2, c2
+
+        digit_form = quadform.digit_form
+        monkeypatch.setattr(quadform, "digit_form", corrupted)
+        monkeypatch.setattr(correlations, "digit_form", corrupted)
+        with pytest.raises(IdentityCheckError, match="quadratic data"):
+            correlations.PhaseForm.compile(QuadraticPhase(qp), n)
 
 
 def test_quad_zero_phase(F3):
