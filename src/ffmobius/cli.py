@@ -47,33 +47,53 @@ from .correlations import (
 )
 from . import sieve as _sieve
 
-DEFAULTS = {
-    "field": "2",
-    "budget": 1_200_000,
-    "seed": 0,
-    "out": None,
-    "format": "csv",
-    "workers": os.cpu_count() or 1,
-    "lmax": 10,
-    "nmax": 10,
-    "n": 8,
-    "l": 0,
-    "Q": "1",
-    "alpha": "random",
-    "beta": "random",
-    "domain": "G",
-    "u": None,
-    "v": None,
-    "trials": 1,
-    "r": 1,
-    "k": 1,
-    "h": 0,
-    "mode": "exhaustive",
-    "samples": 10,
-    "experiment": "linear",
-    "nmin": 2,
-    "config": None,
+
+def _choice(*values):
+    """A flag type that takes only the listed strings; argparse and the
+    config file report the others through its name."""
+
+    def kind(text: str) -> str:
+        if text not in values:
+            raise ValueError(text)
+        return text
+
+    kind.__name__ = "|".join(values)
+    return kind
+
+
+# Every flag once: its type, its default and, for an int, its least value.
+# Flags are read with default None, so that resolve_config can layer the
+# config file, whose keys are these names, beneath them.
+FLAGS = {
+    "field": (str, "2", None),
+    "budget": (int, 1_200_000, 1),
+    "seed": (int, 0, 0),
+    "out": (str, None, None),
+    "format": (_choice("csv", "json"), "csv", None),
+    "workers": (int, os.cpu_count() or 1, 1),
+    "config": (str, None, None),
+    "lmax": (int, 10, 0),
+    "nmax": (int, 10, 0),
+    "n": (int, 8, 0),
+    "l": (int, 0, 0),
+    "Q": (str, "1", None),
+    "alpha": (str, "random", None),
+    "beta": (str, "random", None),
+    "domain": (_choice("A", "G"), "G", None),
+    "u": (int, None, 0),
+    "v": (int, None, 0),
+    "trials": (int, 1, 0),
+    "r": (int, 1, 0),
+    "k": (int, 1, 0),
+    "h": (int, 0, 0),
+    "mode": (_choice("exhaustive", "sampled"), "exhaustive", None),
+    "samples": (int, 10, 0),
+    "experiment": (_choice("linear", "quadratic", "hankel"), "linear", None),
+    "nmin": (int, 2, 0),
 }
+
+# the flags of every subcommand, before its own (SUBCOMMANDS)
+COMMON_FLAGS = ("field", "budget", "seed", "out", "format", "workers", "config")
 
 
 def fmt(x) -> str:
@@ -88,54 +108,15 @@ def fmt(x) -> str:
     return str(x)
 
 
-# Every subcommand takes COMMON_FLAGS and then its own flags, all with
-# default None so that resolve_config can layer the config file beneath them.
-COMMON_FLAGS = (
-    ("--field", str),
-    ("--budget", int),
-    ("--seed", int),
-    ("--out", str),
-    ("--format", str),
-    ("--workers", int),
-    ("--config", str),
-)
-
-SUBCOMMAND_FLAGS = {
-    "pnt": (("--lmax", int),),
-    "mobius-sums": (("--nmax", int),),
-    "divisor-moments": (("--nmax", int),),
-    "hayes-lfunc": (("--l", int), ("--Q", str), ("--nmax", int)),
-    "rh-check": (("--l", int), ("--Q", str)),
-    "euler-check": (("--l", int), ("--Q", str), ("--nmax", int)),
-    "principal-check": (("--Q", str), ("--nmax", int)),
-    "logderiv-check": (("--l", int), ("--Q", str), ("--lmax", int)),
-    "linear-corr": (("--n", int), ("--alpha", str), ("--domain", str)),
-    "quad-corr": (("--n", int), ("--trials", int)),
-    "hankel-corr": (("--n", int), ("--alpha", str), ("--beta", str), ("--trials", int)),
-    "vaughan-audit": (("--n", int), ("--u", int), ("--v", int)),
-    "gauss-sums": (("--n", int), ("--trials", int)),
-    "isotropic": (("--n", int), ("--r", int), ("--trials", int)),
-    "rank-stats": (("--n", int), ("--k", int), ("--h", int), ("--mode", str), ("--samples", int)),
-    "exponent-sweep": (("--experiment", str), ("--nmin", int), ("--nmax", int), ("--samples", int)),
-}
-
-# config key -> the type of its flag (a flag has the same type in every subcommand)
-FLAG_TYPES = {
-    flag[2:]: kind
-    for opts in (COMMON_FLAGS, *SUBCOMMAND_FLAGS.values())
-    for flag, kind in opts
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """The parser with every subcommand and its flags: the reference for
     what main accepts, and the only source of help, usage and error text."""
     ap = argparse.ArgumentParser(prog="ffmobius", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name, opts in SUBCOMMAND_FLAGS.items():
+    for name, (_, own) in SUBCOMMANDS.items():
         sp = sub.add_parser(name)
-        for flag, kind in COMMON_FLAGS + opts:
-            sp.add_argument(flag, type=kind, default=None)
+        for key in COMMON_FLAGS + own:
+            sp.add_argument("--" + key, type=FLAGS[key][0], default=None)
     return ap
 
 
@@ -145,27 +126,27 @@ _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 def _read_exact(argv: list) -> argparse.Namespace | None:
     """The Namespace _build_parser() would give argv, read from the flag
-    table, when argv is a subcommand followed by exact flags of it, each as
+    tables, when argv is a subcommand followed by exact flags of it, each as
     `--flag value` or `--flag=value`, with no separate value that argparse
     could take for an option and every value converted by its flag's type.
     None for any other argv (help, `--`, abbreviations, errors), which is
     left to argparse: building its parsers costs a cold run more than the
     reading does."""
-    if not argv or argv[0] not in SUBCOMMAND_FLAGS:
+    if not argv or argv[0] not in SUBCOMMANDS:
         return None
-    kinds = dict(COMMON_FLAGS + SUBCOMMAND_FLAGS[argv[0]])
-    values = dict.fromkeys((flag[2:] for flag in kinds), None)
+    values = dict.fromkeys(COMMON_FLAGS + SUBCOMMANDS[argv[0]][1], None)
     tokens = iter(argv[1:])
     for tok in tokens:
         flag, eq, value = tok.partition("=")
-        if flag not in kinds:
+        key = flag[2:]
+        if flag[:2] != "--" or key not in values:
             return None
         if not eq:
             value = next(tokens, None)
             if value is None or (value.startswith("-") and not _NEGATIVE_NUMBER.match(value)):
                 return None
         try:
-            values[flag[2:]] = kinds[flag](value)
+            values[key] = FLAGS[key][0](value)
         except ValueError:
             return None
     return argparse.Namespace(subcommand=argv[0], **values)
@@ -179,7 +160,7 @@ def _config_value(key: str, value):
     """A config-file value as its flag would give it: a string goes through
     the flag's type, as on the command line; an int flag also takes a JSON
     integer, and --field a JSON number (main reads it as text)."""
-    kind = FLAG_TYPES[key]
+    kind = FLAGS[key][0]
     if isinstance(value, str):
         try:
             return kind(value)
@@ -191,34 +172,26 @@ def _config_value(key: str, value):
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Layer builtin defaults, then the config file, then explicit flags;
-    then check the format, the budget and every integer's least value."""
+    """Layer the defaults of FLAGS, then the config file, then explicit
+    flags; then check every integer's least value."""
     cli = {k: v for k, v in vars(args).items() if k != "subcommand"}
     file_cfg = {}
     cfg_path = cli.get("config")
     if cfg_path:
         with open(cfg_path) as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(DEFAULTS)
+        unknown = set(file_cfg) - set(FLAGS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         file_cfg = {key: _config_value(key, value) for key, value in file_cfg.items()}
     out = {}
-    for key in cli:
-        if cli[key] is not None:
-            out[key] = cli[key]
-        elif key in file_cfg:
-            out[key] = file_cfg[key]
-        else:
-            out[key] = DEFAULTS.get(key)
-    if out.get("format") not in ("csv", "json"):
-        raise UsageError(f"unknown format {out.get('format')!r}")
-    if out.get("budget") is None or out["budget"] <= 0:
-        raise UsageError("budget must be positive")
-    for key, value in out.items():  # --budget keeps its own check above
-        least = 1 if key == "workers" else 0
-        if FLAG_TYPES[key] is int and key != "budget" and value is not None and value < least:
+    for key, value in cli.items():
+        _, default, least = FLAGS[key]
+        if value is None:
+            value = file_cfg.get(key, default)
+        if least is not None and value is not None and value < least:
             raise UsageError(f"--{key} {value} must be >= {least}")
+        out[key] = value
     return out
 
 
@@ -264,7 +237,10 @@ def _parse_alpha(ctx, text: str, rng, prec: int, flag: str) -> LaurentSeries:
         return sample_torus(ctx, rng(), prec)
     if text == "0":
         return LaurentSeries.zero(ctx, prec)
-    alpha = LaurentSeries.parse(ctx, text)
+    try:
+        alpha = LaurentSeries.parse(ctx, text)
+    except ValueError as exc:
+        raise UsageError(f"{flag} {text}: {exc}") from None
     if not alpha.in_torus():
         raise UsageError(f"{flag} {text} is not in the torus: its coefficients of degree >= 0 must be 0")
     return alpha
@@ -337,9 +313,19 @@ def _budget_deg(ctx, cfg) -> int:
     return d
 
 
+def _parse_Q(ctx, text: str, monic: bool) -> Poly:
+    """--Q as a polynomial: nonzero, and monic where it defines a Hayes group."""
+    try:
+        Q = Poly.parse(ctx, text)
+    except ValueError as exc:
+        raise UsageError(f"--Q {text}: {exc}") from None
+    if Q.is_zero() or (monic and not Q.is_monic()):
+        raise UsageError(f"--Q {text}: the modulus must be {'monic' if monic else 'nonzero'}")
+    return Q
+
+
 def _group_from_cfg(ctx, cfg):
-    Q = Poly.parse(ctx, cfg["Q"])
-    return build_group(ctx, cfg["l"], Q, budget=cfg["budget"])
+    return build_group(ctx, cfg["l"], _parse_Q(ctx, cfg["Q"], monic=True), budget=cfg["budget"])
 
 
 def run_hayes_lfunc(ctx, cfg, rng):
@@ -379,7 +365,7 @@ def run_euler_check(ctx, cfg, rng):
 
 
 def run_principal_check(ctx, cfg, rng):
-    Q = Poly.parse(ctx, cfg["Q"])
+    Q = _parse_Q(ctx, cfg["Q"], monic=False)
     rows = [
         (n, enum, series, True)
         for n, enum, series in principal_check(ctx, Q, cfg["nmax"], budget=cfg["budget"])
@@ -521,23 +507,24 @@ def run_exponent_sweep(ctx, cfg, rng):
     return ["n", "samples", "max_abs", "mean_abs", "max_exponent"], rows
 
 
-RUNNERS = {
-    "pnt": run_pnt,
-    "mobius-sums": run_mobius_sums,
-    "divisor-moments": run_divisor_moments,
-    "hayes-lfunc": run_hayes_lfunc,
-    "rh-check": run_rh_check,
-    "euler-check": run_euler_check,
-    "principal-check": run_principal_check,
-    "logderiv-check": run_logderiv_check,
-    "linear-corr": run_linear_corr,
-    "quad-corr": run_quad_corr,
-    "hankel-corr": run_hankel_corr,
-    "vaughan-audit": run_vaughan_audit,
-    "gauss-sums": run_gauss_sums,
-    "isotropic": run_isotropic,
-    "rank-stats": run_rank_stats,
-    "exponent-sweep": run_exponent_sweep,
+# Every subcommand once: its runner and its own flags (after COMMON_FLAGS).
+SUBCOMMANDS = {
+    "pnt": (run_pnt, ("lmax",)),
+    "mobius-sums": (run_mobius_sums, ("nmax",)),
+    "divisor-moments": (run_divisor_moments, ("nmax",)),
+    "hayes-lfunc": (run_hayes_lfunc, ("l", "Q", "nmax")),
+    "rh-check": (run_rh_check, ("l", "Q")),
+    "euler-check": (run_euler_check, ("l", "Q", "nmax")),
+    "principal-check": (run_principal_check, ("Q", "nmax")),
+    "logderiv-check": (run_logderiv_check, ("l", "Q", "lmax")),
+    "linear-corr": (run_linear_corr, ("n", "alpha", "domain")),
+    "quad-corr": (run_quad_corr, ("n", "trials")),
+    "hankel-corr": (run_hankel_corr, ("n", "alpha", "beta", "trials")),
+    "vaughan-audit": (run_vaughan_audit, ("n", "u", "v")),
+    "gauss-sums": (run_gauss_sums, ("n", "trials")),
+    "isotropic": (run_isotropic, ("n", "r", "trials")),
+    "rank-stats": (run_rank_stats, ("n", "k", "h", "mode", "samples")),
+    "exponent-sweep": (run_exponent_sweep, ("experiment", "nmin", "nmax", "samples")),
 }
 
 
@@ -570,7 +557,7 @@ def main(argv=None) -> int:
             raise UsageError(f"--field {cfg['field']}: {exc}") from exc
         seed = cfg["seed"]
         rng = functools.cache(lambda: np.random.default_rng(seed))
-        columns, rows = RUNNERS[args.subcommand](ctx, cfg, rng)
+        columns, rows = SUBCOMMANDS[args.subcommand][0](ctx, cfg, rng)
         write_report(args.subcommand, cfg, columns, rows)
         return 0
     except IdentityCheckError as exc:

@@ -866,41 +866,42 @@ def exponent_sweep(
     exhaustive: bool = False,
 ):
     """Sampled max/mean |sum| and empirical exponents per n for the linear,
-    quadratic or hankel experiment.  Deterministic under the seed; the
+    quadratic or hankel experiment; exhaustive (linear only) takes every
+    alpha at precision n + 1 instead.  Deterministic under the seed; the
     worker count never changes results."""
+    if experiment not in ("linear", "quadratic", "hankel"):
+        raise ValueError(f"unknown experiment {experiment!r}")
+    if exhaustive and experiment != "linear":
+        raise ValueError(f"the exhaustive sweep is linear only, not {experiment!r}")
+    q = ctx.q
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_values:
-        if ctx.q**n > budget:
-            raise BudgetExceeded(ctx.q**n, budget, f"sweep at n={n}")
+        if q**n > budget:
+            raise BudgetExceeded(q**n, budget, f"sweep at n={n}")
         abses = []
-        if experiment == "linear" and exhaustive:
-            phases = []
-            for code in range(ctx.q ** (n + 1)):
-                coeffs = [(code // ctx.q**i) % ctx.q for i in range(n + 1)]
-                phases.append(LaurentSeries(ctx, -1, coeffs))
-            for al in phases:
+        if exhaustive:
+            # alpha_(-n-1), the top digit of the code, never enters a sum over
+            # G_n: the q^n sums with it 0, repeated q times, are in code order
+            for code in range(q**n):
+                al = LaurentSeries(ctx, -1, [(code // q**i) % q for i in range(n)] + [0])
                 abses.append(linear_corr(ctx, n, al, "G", budget, workers).abs(ctx))
+            abses *= q
         else:
             for _ in range(samples):
                 if experiment == "linear":
                     al = sample_torus(ctx, rng, n + 1)
                     rep = linear_corr(ctx, n, al, "G", budget, workers)
-                    abses.append(rep.abs(ctx))
                 elif experiment == "quadratic":
-                    qp = _random_quad_phase(ctx, n, rng)
-                    rep = quad_corr(ctx, n, qp, budget, workers)
-                    abses.append(rep.abs(ctx))
-                elif experiment == "hankel":
+                    rep = quad_corr(ctx, n, _random_quad_phase(ctx, n, rng), budget, workers)
+                else:
                     al = sample_torus(ctx, rng, 2 * n + 2)
                     be = sample_torus(ctx, rng, n + 1)
                     rep = hankel_corr(ctx, n, al, be, budget, workers)
-                    abses.append(rep.abs(ctx))
-                else:
-                    raise ValueError(f"unknown experiment {experiment!r}")
+                abses.append(rep.abs(ctx))
         if abses:
             mx, mean = max(abses), sum(abses) / len(abses)
-            expo = log(mx) / (n * log(ctx.q)) if mx > 0 and n > 0 else None
+            expo = log(mx) / (n * log(q)) if mx > 0 and n > 0 else None
             rows.append((n, len(abses), mx, mean, expo))
     return rows
 

@@ -115,10 +115,6 @@ class FieldCtx:
     def __repr__(self):
         return f"FieldCtx(q={self.q})" if self.s > 1 else f"FieldCtx(p={self.p})"
 
-    @property
-    def spec(self) -> str:
-        return f"{self.p}^{self.s}" if self.s > 1 else str(self.p)
-
     def _build_tables(self):
         # whole-table arithmetic on the (q, s) digit array, one base-p digit
         # of the result at a time so that temporaries stay (q, q)
@@ -208,10 +204,6 @@ class FieldCtx:
 
     def units(self):
         return range(1, self.q)
-
-    def omega(self) -> complex:
-        """Primitive p-th root of unity used by the additive character."""
-        return np.exp(2j * np.pi / self.p)
 
 
 _FIELDS: dict[tuple[int, int], FieldCtx] = {}

@@ -345,11 +345,12 @@ def poly_coprime(f: Poly, Q: Poly) -> bool:
 
 
 def _tmod_rows(ctx: FieldCtx, Q: Poly, n: int) -> np.ndarray:
-    """(n + 1, deg Q) digits of t^k mod Q for k = 0..n."""
+    """(n + 1, deg Q) digits of t^k mod Q for k = 0..n; Q need not be
+    monic, since its monic associate leaves the same remainders."""
     m = int(Q.deg)
     rows = np.zeros((n + 1, m + 1), dtype=np.int64)  # column m takes the carry
     rows[0, 0] = 1
-    low = ctx.NEG[[Q.coefficient(j) for j in range(m)]]  # t^m = -(Q - t^m) mod Q
+    low = ctx.NEG[ctx.MUL[ctx.inv(Q.lc), [Q.coefficient(j) for j in range(m)]]]  # t^m = -(Q/lc - t^m)
     for k in range(1, n + 1):
         rows[k, 1:] = rows[k - 1, :-1]
         rows[k, :m] = ctx.ADD[rows[k, :m], ctx.MUL[rows[k, m], low]]

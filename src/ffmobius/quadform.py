@@ -7,10 +7,9 @@ field tables, and exponential means are assembled from integer exponent
 histograms.  Products and forms go through the field's digit layer
 (FieldCtx.DIGITS, MULMAT): fq_matmul is one integer matmul on base-p
 digits, and digit_form turns quadratic data (M, b, c, r) into one F_p
-quadratic form on the s n base-p digits of a code.  quad_exponents
-evaluates that form (isotropic_count uses it), and every phase of
+quadratic form on the s n base-p digits of a code.  Every phase of
 correlations, linear and Hankel included, compiles its form for
-phase_hist from it (gauss_mean sums that).  The symmetrised compression
+phase_hist from it (gauss_mean sums that; isotropic_count evaluates it).  The symmetrised compression
 (L_a^T M L_b + L_b^T M L_a)/2 needs odd characteristic; for Hankel matrices
 the single product L_a^T M L_b is already symmetric and is used instead,
 which keeps the characteristic-2 case available where it makes sense.
@@ -27,7 +26,6 @@ from .errors import BudgetExceeded, CharacteristicError, IdentityCheckError
 from .fields import FieldCtx
 from .laurent import LaurentSeries
 from .polys import Poly
-from . import sieve as _sieve
 
 __all__ = [
     "QuadPhase",
@@ -35,7 +33,6 @@ __all__ = [
     "rank",
     "fq_matmul",
     "digit_form",
-    "quad_exponents",
     "gauss_mean",
     "isotropic_count",
     "hankel_matrix",
@@ -152,16 +149,6 @@ def digit_form(ctx: FieldCtx, M, b, c: int = 0, r: int = 1) -> tuple:
     return A, b, int(ctx.TRACE[ctx.mul(r, c)])
 
 
-def quad_exponents(phase: QuadPhase, codes: np.ndarray) -> np.ndarray:
-    """omega_p exponents Tr(r (x^T M x + b.x + c)) for the coefficient
-    vectors of the given codes: the digit_form of the phase on their
-    base-p digits."""
-    ctx = phase.ctx
-    A, b, c = digit_form(ctx, phase.M, phase.b, phase.c, phase.r)
-    Y = ctx.DIGITS[_sieve.codes_to_digits(ctx, codes, phase.n)].reshape(len(codes), len(b))
-    return (((Y @ A) * Y).sum(axis=1) + Y @ b + c) % ctx.p
-
-
 def gauss_mean(phase: QuadPhase, budget: int = 1_200_000, tol: float = 1e-9) -> complex:
     """E over x in F_q^n of the phase, by exhaustive summation (phase_hist).
 
@@ -195,24 +182,26 @@ def gauss_mean(phase: QuadPhase, budget: int = 1_200_000, tol: float = 1e-9) -> 
 def isotropic_count(ctx: FieldCtx, forms, n: int, budget: int = 1_200_000):
     """Common zeros of pure quadratic forms (symmetric matrices) over F_p^n,
     with the lower bound (1 - p^(-1/2)) p^(n - 2 r (r+1)).  Returns (count,
-    bound).  Each form is evaluated by quad_exponents, a span of at most
-    CHUNK codes at a time."""
-    from .correlations import CHUNK
+    bound).  Each form is evaluated by its compiled form (checked against
+    the MUL and TRACE tables when it compiles), a span of at most CHUNK
+    codes at a time."""
+    from .correlations import CHUNK, QuadraticPhase
 
     if ctx.s != 1:
         raise ValueError("isotropic counting is over prime fields")
     p = ctx.p
     if p**n > budget:
         raise BudgetExceeded(p**n, budget, "F_p^n sweep")
-    phases = [QuadPhase(ctx, M, np.zeros(n, dtype=np.int64)) for M in forms]
+    zero = np.zeros(n, dtype=np.int64)
+    compiled = [QuadraticPhase(QuadPhase(ctx, M, zero)).form(n) for M in forms]
     count = 0
     for a in range(0, p**n, CHUNK):
         codes = np.arange(a, min(a + CHUNK, p**n))
         ok = np.ones(len(codes), dtype=bool)
-        for ph in phases:
-            ok &= quad_exponents(ph, codes) == 0
+        for form in compiled:
+            ok &= form.exponents(codes) == 0
         count += int(ok.sum())
-    r = len(phases)
+    r = len(compiled)
     bound = (1 - p**-0.5) * float(p) ** (n - 2 * r * (r + 1))
     if count < bound:
         raise IdentityCheckError(

@@ -149,7 +149,7 @@ def test_identity_failure_exits_1(monkeypatch, capsys):
     def broken_runner(ctx, cfg, rng):
         raise IdentityCheckError("forced failure", counterexample="t^2+t")
 
-    monkeypatch.setitem(cli.RUNNERS, "pnt", broken_runner)
+    monkeypatch.setitem(cli.SUBCOMMANDS, "pnt", (broken_runner, cli.SUBCOMMANDS["pnt"][1]))
     rc = cli.main(["pnt", "--field", "2"])
     assert rc == 1
     err = capsys.readouterr().err
@@ -352,8 +352,8 @@ PARSER_ARGVS = (
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda a: " ".join(a) or "no-args")
 def test_parser_output_matches_parser_with_every_flag(argv, monkeypatch, capsys):
-    # main gives flags only to the subcommand it runs; help, usage and
-    # errors must read as from a parser where every subcommand has its flags
+    # main falls back to argparse for help, usage and errors; what it prints
+    # must be what the full parser, every subcommand with its flags, prints
     import ffmobius.cli as cli
 
     monkeypatch.setenv("COLUMNS", "100")
@@ -393,7 +393,7 @@ def test_small_commands_build_no_argparse_parser(tmp_path, monkeypatch):
 def _flag_table_argvs():
     import ffmobius.cli as cli
 
-    every_flag = sorted(set(cli.FLAG_TYPES))
+    every_flag = sorted(cli.FLAGS)
     values = st.one_of(
         st.integers(-30, 30).map(str),
         st.sampled_from(["", "x", "1.5", "-.5", "-x", "--n", "-", " 3", "0:1,2", "-1:1,0,2", "a=b"]),
@@ -401,8 +401,8 @@ def _flag_table_argvs():
 
     @st.composite
     def argvs(draw):
-        sub = draw(st.sampled_from(list(cli.SUBCOMMAND_FLAGS) + ["frobnicate", "--field"]))
-        own = [flag for flag, _ in cli.COMMON_FLAGS + cli.SUBCOMMAND_FLAGS.get(sub, ())]
+        sub = draw(st.sampled_from(list(cli.SUBCOMMANDS) + ["frobnicate", "--field"]))
+        own = ["--" + key for key in cli.COMMON_FLAGS + cli.SUBCOMMANDS.get(sub, (None, ()))[1]]
         argv = [sub]
         for _ in range(draw(st.integers(0, 6))):
             kind = draw(st.sampled_from(["space"] * 6 + ["equals"] * 4 + ["other", "abbrev", "bare", "special"]))
@@ -438,7 +438,11 @@ def test_exact_reader_agrees_with_argparse(argv):
     ["pnt"],
     ["hankel-corr", "--n", "3", "--alpha=-1:1,2", "--beta", "0", "--n=-4", "--trials", "2"],
     ["isotropic", "--r", "-2", "--out=", "--field", ""],
-], ids=["bare", "repeats", "empty"])
+    ["pnt", "--format", "json"],
+    ["linear-corr", "--domain=A"],
+    ["rank-stats", "--mode", "sampled"],
+    ["exponent-sweep", "--experiment", "hankel"],
+], ids=["bare", "repeats", "empty", "format", "domain", "mode", "experiment"])
 def test_exact_reader_takes_exact_flags(argv):
     import ffmobius.cli as cli
 
@@ -485,3 +489,97 @@ def test_config_string_flag_refuses_a_number(tmp_path, capsys):
     cfg.write_text(json.dumps({"Q": 3}))
     assert cli.main(["principal-check", "--field", "3", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == "error: config key 'Q': expected str, got 3\n"
+
+
+def test_every_flag_and_subcommand_is_declared_once():
+    # FLAGS and SUBCOMMANDS are the only declarations: every name a
+    # subcommand takes is a FLAGS key, every key is taken, and the parser
+    # gives each subcommand exactly its table entry
+    import argparse
+
+    import ffmobius.cli as cli
+
+    used = set(cli.COMMON_FLAGS)
+    for name, (runner, own) in cli.SUBCOMMANDS.items():
+        assert callable(runner) and len(set(own)) == len(own)
+        assert not set(own) & set(cli.COMMON_FLAGS)
+        used |= set(own)
+    assert used == set(cli.FLAGS) and len(set(cli.COMMON_FLAGS)) == len(cli.COMMON_FLAGS)
+    for kind, _, least in cli.FLAGS.values():
+        assert (kind is int) == (least is not None)
+    subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(cli.SUBCOMMANDS)
+    for name, (_, own) in cli.SUBCOMMANDS.items():
+        flags = [a.option_strings for a in subparsers.choices[name]._actions if a.dest != "help"]
+        assert flags == [["--" + key] for key in cli.COMMON_FLAGS + own]
+
+
+CHOICE_CASES = [
+    (["pnt", "--field", "2"], "--format", "xml"),
+    (["linear-corr", "--field", "3", "--n", "3"], "--domain", "Z"),
+    (["rank-stats", "--field", "2", "--n", "3"], "--mode", "x"),
+    (["exponent-sweep", "--field", "3", "--samples", "0"], "--experiment", "bogus"),
+]
+CHOICE_IDS = [flag[2:] for _, flag, _ in CHOICE_CASES]
+
+
+@pytest.mark.parametrize("args, flag, value", CHOICE_CASES, ids=CHOICE_IDS)
+@pytest.mark.parametrize("form", ["exact", "abbrev"])
+def test_unlisted_choice_exits_2_naming_the_flag(args, flag, value, form, capsys):
+    # an exact flag fails its type in the reader, an abbreviation goes
+    # straight to argparse: both end in argparse's error for the flag
+    import ffmobius.cli as cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + [flag if form == "exact" else flag[:-1], value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"error: argument {flag}: invalid " in captured.err and f"value: {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("args, key, value", CHOICE_CASES, ids=CHOICE_IDS)
+def test_config_unlisted_choice_names_the_key(args, key, value, tmp_path, capsys):
+    import ffmobius.cli as cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key[2:]: value}))
+    assert cli.main(args + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: config key {key[2:]!r}: invalid ") and captured.out == ""
+    assert captured.err.endswith(f" value {value!r}\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["pnt", "--field", "2", "--budget", "0"], "--budget 0 must be >= 1"),
+    (["linear-corr", "--field", "3", "--n", "4", "--alpha", "x"],
+     "--alpha x: invalid literal for int() with base 10: 'x'"),
+    (["linear-corr", "--field", "3", "--n", "4", "--alpha=-1:5,0,0,0,0"],
+     "--alpha -1:5,0,0,0,0: coefficient code 5 outside [0, 3)"),
+    (["hankel-corr", "--field", "3", "--n", "2", "--beta", "x"],
+     "--beta x: invalid literal for int() with base 10: 'x'"),
+    (["rh-check", "--field", "3", "--l", "1", "--Q", "1,x"], "--Q 1,x: invalid literal for int() with base 10: 'x'"),
+    (["principal-check", "--field", "3", "--Q", "1,5"], "--Q 1,5: coefficient code 5 outside [0, 3)"),
+    (["principal-check", "--field", "3", "--Q", "0,0"], "--Q 0,0: the modulus must be nonzero"),
+    (["hayes-lfunc", "--field", "3", "--l", "1", "--Q", "1,0,2"], "--Q 1,0,2: the modulus must be monic"),
+    (["rh-check", "--field", "3", "--l", "1", "--Q", "1,0,2"], "--Q 1,0,2: the modulus must be monic"),
+    (["euler-check", "--field", "3", "--l", "1", "--Q", "1,0,2"], "--Q 1,0,2: the modulus must be monic"),
+    (["logderiv-check", "--field", "3", "--l", "1", "--Q", "1,0,2"], "--Q 1,0,2: the modulus must be monic"),
+], ids=["budget-0", "alpha-text", "alpha-code", "beta-text", "Q-text", "Q-code", "Q-zero", "hayes-Q",
+        "rh-Q", "euler-Q", "logderiv-Q"])
+def test_bad_value_names_the_flag(args, message, capsys):
+    import ffmobius.cli as cli
+
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_principal_check_takes_a_non_monic_modulus(capsys):
+    # dividing by 2 t^2 + 1 leaves the remainders of t^2 + 2
+    import ffmobius.cli as cli
+
+    rows = []
+    for Q in ("1,0,2", "2,0,1"):
+        assert cli.main(["principal-check", "--field", "3", "--Q", Q, "--nmax", "4"]) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1:])
+    assert rows[0] == rows[1] and len(rows[0]) == 6

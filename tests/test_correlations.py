@@ -465,3 +465,35 @@ def test_exponent_sweep_triangle_bound(F3):
 def test_exponent_sweep_exhaustive_mode(F2):
     rows = exponent_sweep(F2, "linear", [4], 0, seed=0, exhaustive=True)
     assert rows[0][1] == 2**5  # all alphas at precision n+1
+
+
+@pytest.mark.parametrize("experiment, kwargs, message", [
+    ("bogus", {}, "unknown experiment 'bogus'"),
+    ("hankel", {"exhaustive": True}, "exhaustive sweep is linear only"),
+    ("quadratic", {"exhaustive": True}, "exhaustive sweep is linear only"),
+], ids=["unknown", "hankel-exhaustive", "quadratic-exhaustive"])
+def test_exponent_sweep_rejects_bad_arguments(experiment, kwargs, message, F3):
+    # before any work: with samples=0 an unknown experiment used to give []
+    with pytest.raises(ValueError, match=message):
+        exponent_sweep(F3, experiment, [2], 0, 0, **kwargs)
+
+
+@pytest.mark.parametrize("name, n, row", [
+    ("F2", 4, (4, 32, 7.0, 2.375, 0.701838730514401)),
+    ("F3", 3, (3, 81, 5.0, 4.444444444444445, 0.4883245069059757)),
+])
+def test_exhaustive_sweep_sums_each_phase_once(name, n, row, request, monkeypatch):
+    # alpha_(-n-1) never enters a sum over G_n, so q^n linear_corr calls give
+    # every one of the q^(n+1) rows; the row is the one recorded when every
+    # alpha was summed
+    ctx = request.getfixturevalue(name)
+    calls = []
+    real = correlations.linear_corr
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(correlations, "linear_corr", counting)
+    assert exponent_sweep(ctx, "linear", [n], 0, 0, exhaustive=True) == [row]
+    assert len(calls) == ctx.q**n and all(al.coefficient(-n - 1) == 0 for al in calls)

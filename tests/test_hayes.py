@@ -655,3 +655,24 @@ def test_coprime_residue_mask_matches_gcd(ps, max_deg):
         Q = Poly.from_code(ctx, code)
         want = [hayes.poly_coprime(Poly.from_code(ctx, r), Q) for r in range(ctx.q ** int(Q.deg))]
         assert hayes._coprime_residue_mask(ctx, Q).tolist() == want, Q
+
+
+@pytest.mark.parametrize("ps", [(3, 1), (2, 2)], ids=["q=3", "q=4"])
+def test_residues_mod_matches_poly_mod_for_any_modulus(ps, monkeypatch):
+    # a non-monic Q leaves the remainders of its monic associate
+    ctx = get_field(*ps)
+    monkeypatch.setattr(hayes, "_RESIDUES", {})
+    for code in range(1, ctx.q**3):  # every nonzero Q of degree <= 2
+        Q = Poly.from_code(ctx, code)
+        for n in range(4):
+            want = [(Poly.from_code(ctx, c) % Q).code for c in range(ctx.q**n, 2 * ctx.q**n)]
+            assert hayes.residues_mod(ctx, Q, n).tolist() == want, (Q, n)
+
+
+@pytest.mark.parametrize("ps, Qtext", [((3, 1), "1,0,2"), ((3, 1), "2,2,2"), ((2, 2), "1,2,3"), ((5, 1), "1,1,3")],
+                         ids=["q=3-a", "q=3-b", "q=4", "q=5"])
+def test_principal_check_of_non_monic_modulus(ps, Qtext):
+    ctx = get_field(*ps)
+    Q = P(ctx, Qtext)
+    assert not Q.is_monic()
+    assert principal_check(ctx, Q, 4) == principal_check(ctx, Q.monic()[1], 4)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffmobius import Poly, get_field
+from ffmobius.correlations import QuadraticPhase
 from ffmobius.errors import CharacteristicError, IdentityCheckError
 from ffmobius.laurent import LaurentSeries, sample_torus
 from ffmobius.quadform import (
@@ -16,7 +17,6 @@ from ffmobius.quadform import (
     m_ab,
     matrix_from_csv,
     matrix_to_csv,
-    quad_exponents,
     rank,
     rank_stats,
 )
@@ -97,7 +97,7 @@ def test_weyl_differencing_identity(F3):
         lhs = abs(gauss_mean(ph)) ** 2
         omega = np.exp(2j * np.pi / 3)
         codes = np.arange(q**n, dtype=np.int64)
-        pvals = quad_exponents(ph, codes)
+        pvals = QuadraticPhase(ph).form(n).exponents(codes)
         rhs = 0j
         from ffmobius.sieve import codes_to_digits
 
@@ -334,9 +334,10 @@ def test_quad_exponents_matches_scalar_loop(name, request):
             QuadPhase(ctx, M, b, c, 0),  # r = 0: every exponent is 0
             QuadPhase(ctx, M, np.zeros(n, dtype=int), 0, 1),
         ):
-            got = quad_exponents(phase, codes)
             want = [scalar_quad_exponent(phase, int(code)) for code in codes]
-            assert got.dtype == np.int64 and got.tolist() == want, phase.describe()
+            qph = QuadraticPhase(phase)  # the compiled form and the MUL/TRACE route
+            for got in (qph.form(n).exponents(codes), qph.exponents(n, codes)):
+                assert got.dtype == np.int64 and got.tolist() == want, phase.describe()
 
 
 @pytest.mark.parametrize("name", ["F3", "F5", "F7", "F9", "F25", "F27"])
@@ -351,7 +352,7 @@ def test_gauss_mean_matches_exhaustive_histogram(name, request):
             b = rng.integers(0, q, size=n) if trial else np.zeros(n, dtype=int)
             phase = QuadPhase(ctx, random_symmetric(rng, q, n), b, int(rng.integers(0, q)),
                               int(rng.integers(0, q)))
-            hist = np.bincount(quad_exponents(phase, np.arange(q**n)), minlength=p)
+            hist = np.bincount(QuadraticPhase(phase).exponents(n, np.arange(q**n)), minlength=p)
             assert gauss_mean(phase) == complex(hist @ omega) / q**n, phase.describe()
         n += 1
 
