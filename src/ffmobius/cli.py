@@ -487,6 +487,8 @@ def run_rank_stats(ctx, cfg, rng):
     n, k, h = cfg["n"], cfg["k"], cfg["h"]
     if k > n:
         raise UsageError(f"--k {k} must lie in 0..{n}, the value of --n")
+    if cfg["mode"] == "sampled" and cfg["samples"] < 1:
+        raise UsageError(f"--samples {cfg['samples']} must be >= 1 in sampled mode")
     alpha = sample_torus(ctx, rng(), 2 * n + 2)
     M = hankel_matrix(alpha, n)
     rs = rank_stats(

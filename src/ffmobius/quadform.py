@@ -9,19 +9,25 @@ histograms.  Products and forms go through the field's digit layer
 digits, and digit_form turns quadratic data (M, b, c, r) into one F_p
 quadratic form on the s n base-p digits of a code.  Every phase of
 correlations, linear and Hankel included, compiles its form for
-phase_hist from it (gauss_mean sums that; isotropic_count evaluates it).  The symmetrised compression
-(L_a^T M L_b + L_b^T M L_a)/2 needs odd characteristic; for Hankel matrices
-the single product L_a^T M L_b is already symmetric and is used instead,
-which keeps the characteristic-2 case available where it makes sense.
+phase_hist from it (gauss_mean sums that; isotropic_count evaluates it).
+Ranks come from one elimination along a batch axis (_ranks): rank is its
+one-item call, and rank_stats ranks blocks of compressions M_{a,b}, each
+block one contraction of the compressions of monomials.  The symmetrised
+compression (L_a^T M L_b + L_b^T M L_a)/2 needs odd characteristic; for
+Hankel matrices the single product L_a^T M L_b is already symmetric and is
+used instead, which keeps the characteristic-2 case available where it
+makes sense.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from . import sieve
 from .errors import BudgetExceeded, CharacteristicError, IdentityCheckError
 from .fields import FieldCtx
 from .laurent import LaurentSeries
@@ -89,33 +95,32 @@ class QuadPhase:
         return f"M[{mm}]+b[{bb}]+c{self.c}|r{self.r}"
 
 
+def _ranks(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
+    """Ranks over F_q of a (B, m, n) stack of code matrices: one Gaussian
+    elimination along the batch axis.  For each column, every item with a
+    nonzero entry at or below its rank takes its first such row as pivot,
+    swaps it into place, scales it to 1 and clears the rows below it.
+    Columns left of c are zero below the ranks, so only columns c.. move."""
+    A = np.array(stack, dtype=np.int64)
+    B, m, n = A.shape
+    r = np.zeros(B, dtype=np.int64)
+    rows = np.arange(m)
+    for c in range(n if m else 0):
+        free = (A[:, :, c] != 0) & (rows >= r[:, None])
+        i = np.flatnonzero(free.any(axis=1))  # the items with a pivot
+        ri, piv = r[i], free[i].argmax(axis=1)
+        pivot = A[i, piv, c:]
+        A[i, piv, c:] = A[i, ri, c:]
+        A[i, ri, c:] = pivot = ctx.MUL[ctx.INV[pivot[:, :1]], pivot]
+        factors = np.where(rows > ri[:, None], A[i, :, c], 0)
+        A[i, :, c:] = ctx.SUB[A[i, :, c:], ctx.MUL[factors[:, :, None], pivot[:, None, :]]]
+        r[i] += 1
+    return r
+
+
 def rank(ctx: FieldCtx, M) -> int:
     """Rank over F_q by exact Gaussian elimination."""
-    A = _as_matrix(ctx, M).copy()
-    if A.size == 0:
-        return 0
-    rows, cols = A.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if A[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        inv = ctx.inv(int(A[r, c]))
-        A[r] = ctx.MUL[inv][A[r]]
-        below = A[r + 1 :, c] != 0
-        if below.any():
-            factors = A[r + 1 :, c][below]
-            prods = ctx.MUL[factors[:, None], A[r][None, :]]
-            A[r + 1 :][below] = ctx.SUB[A[r + 1 :][below], prods]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return int(_ranks(ctx, _as_matrix(ctx, M)[None])[0])
 
 
 def fq_matmul(ctx: FieldCtx, A, B) -> np.ndarray:
@@ -292,32 +297,40 @@ def rank_stats(
     budget: int = 1_200_000,
 ) -> RankStats:
     """Distribution of rank(M_{a,b}) over pairs (a, b) in G_(k+1)^2 and the
-    density of pairs with rank <= h."""
+    density of pairs with rank <= h.
+
+    M_{a,b} is bilinear in (a, b): it is sum_(i,j) a_i b_j C_ij with C_ij
+    the compression of the monomials t^i, t^j.  So the (k+1)^2 compressions
+    are built once (m_ab), and each block of at most sieve.CHUNK_ENTRIES
+    matrix entries is one fq_matmul of the products a_i b_j against them,
+    ranked by one _ranks call."""
     q = ctx.q
-    total_space = q ** (2 * (k + 1))
+    Q = q ** (k + 1)
     if mode == "exhaustive":
-        if total_space > budget:
-            raise BudgetExceeded(total_space, budget, "rank_stats pairs")
-        pairs = (
-            (ac, bc) for ac in range(q ** (k + 1)) for bc in range(q ** (k + 1))
-        )
-        total = total_space
+        if Q * Q > budget:
+            raise BudgetExceeded(Q * Q, budget, "rank_stats pairs")
+        total, draws = Q * Q, None
     elif mode == "sampled":
-        rng = np.random.default_rng(seed)
-        draws = rng.integers(0, q ** (k + 1), size=(samples, 2))
-        pairs = ((int(x), int(y)) for x, y in draws)
-        total = samples
+        if samples < 1:
+            raise ValueError("sampled mode needs samples >= 1")
+        if samples > budget:
+            raise BudgetExceeded(samples, budget, "rank_stats samples")
+        total, draws = samples, np.random.default_rng(seed).integers(0, Q, size=(samples, 2))
     else:
         raise ValueError("mode must be exhaustive or sampled")
-    hist: dict[int, int] = {}
-    low = 0
-    for ac, bc in pairs:
-        a = Poly.from_code(ctx, ac)
-        b = Poly.from_code(ctx, bc)
-        r = rank(ctx, m_ab(ctx, M, a, b, k))
-        hist[r] = hist.get(r, 0) + 1
-        if r <= h:
-            low += 1
+    basis = [Poly.from_code(ctx, q**i) for i in range(k + 1)]  # t^0, ..., t^k
+    C = np.array([[m_ab(ctx, M, a, b, k) for b in basis] for a in basis])
+    m = C.shape[-1]
+    C = C.reshape((k + 1) ** 2, m * m)
+    step = max(1, sieve.CHUNK_ENTRIES // max(1, m * m))
+    hist: Counter = Counter()
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        codes = np.divmod(np.arange(lo, hi), Q) if draws is None else draws[lo:hi].T
+        a, b = (sieve.codes_to_digits(ctx, x, k + 1) for x in codes)
+        w = ctx.MUL[a[:, :, None], b[:, None, :]].reshape(len(a), -1)
+        hist.update(_ranks(ctx, fq_matmul(ctx, w, C).reshape(len(a), m, m)).tolist())
+    low = sum(c for r, c in hist.items() if r <= h)
     return RankStats(
         k=k,
         h=h,

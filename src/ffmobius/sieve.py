@@ -24,13 +24,13 @@ the codes of a c for a block of polynomials a and every code c in a range.
 It is carry free: each F_p digit of a product sits in its own lane of a
 uint64 word (one bit at p = 2, where lanes add by XOR), a low table of the
 words of a c for all short c is built by doubling over the digits of c,
-and longer codes add a shifted high part to it.  Products too wide for the
-lanes fall back to a batched matmul of base-p digits (_pair_codes).  The
-sieve keeps one low table per degree d of irreducibles for the length of a
-build.  convolve_monic reads the primitive through product tables: for
-each degree pair (da, db), the offsets of every monic product g h in its
-degree, built once and kept in _PRODUCTS up to PRODUCTS_MAX_BYTES, so that
-a convolution is one weighted bincount per degree pair.
+and longer codes add a shifted high part to it.  A product wider than the
+lanes is refused with PrecisionExceeded.  The sieve keeps one low table per
+degree d of irreducibles for the length of a build.  convolve_monic reads
+the primitive through product tables: for each degree pair (da, db), the
+offsets of every monic product g h in its degree, built once and kept in
+_PRODUCTS up to PRODUCTS_MAX_BYTES, so that a convolution is one weighted
+bincount per degree pair.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ def digits_to_codes(ctx: FieldCtx, digits: np.ndarray) -> np.ndarray:
 # -- the product primitive -----------------------------------------------------
 
 # Cap on the products that one vectorised step holds: a block of rows times
-# a span of codes, a low table of _Products, or a _pair_codes block.  It
-# bounds the temporaries of the sieve, the product tables and the dilation
-# histograms whatever the degrees involved.
+# a span of codes or a low table of _Products.  It bounds the temporaries of
+# the sieve, the product tables, the dilation histograms and the rank
+# stacks of rank_stats whatever the degrees involved.
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -141,12 +141,12 @@ class _Products:
     table the same way; K is the largest with (rows of a block) q^K <=
     entries.  codes() folds words back into codes in ceil(log2 N)
     pairwise folds, N the number of F_p digits of the product.  Products
-    with more digits than the 64 // b lanes go through _pair_codes.
+    with more digits than the 64 // b lanes raise PrecisionExceeded.
     """
 
     def __init__(self, ctx: FieldCtx, a: np.ndarray, stop: int, entries: int | None = None):
         p, s, q = ctx.p, ctx.s, ctx.q
-        self.entries = entries = CHUNK_ENTRIES if entries is None else entries
+        entries = CHUNK_ENTRIES if entries is None else entries
         self.ctx, self.a = ctx, np.asarray(a)
         b = 1
         while p > 2 and not (2 * p - 2 < 2**b and p - 2 < 2 ** (b - 1)):
@@ -156,9 +156,12 @@ class _Products:
         self.rows = max(1, entries // q)  # rows per block, so that K >= 1
         wc = _ndigits(q, max(stop - 1, 0))  # digits of the codes c
         ndig = s * (w + wc - 1)  # F_p digits of a product
-        self.lanes = ndig <= lanes
+        if ndig > lanes:
+            raise PrecisionExceeded(
+                f"products of {ndig} F_{p} digits exceed the {lanes} {b}-bit lanes of a word"
+            )
         self._tables = []
-        if not self.lanes or not r:
+        if not r:
             return
         if b > 1:
             low = sum(1 << (b * k) for k in range(lanes))  # bit 0 of every lane
@@ -198,10 +201,7 @@ class _Products:
         return t
 
     def codes(self, words: np.ndarray) -> np.ndarray:
-        """int64 codes of lane words; the codes _pair_codes gave (int64
-        already, for products too wide for the lanes) pass through."""
-        if words.dtype == np.int64:
-            return words
+        """int64 codes of lane words."""
         for mask, width, mult in self._folds:
             t = words & mask
             t >>= width
@@ -214,15 +214,6 @@ class _Products:
         and the code c0 + j, for lo <= c0 + j < hi; a block holds at most
         max(entries, q) products.  Lane words are read-only, and
         codes() turns them into codes."""
-        if not self.lanes:
-            wc = _ndigits(self.ctx.q, max(hi - 1, 0))
-            for i0 in range(0, len(self.a), self.rows):
-                a = self.a[i0 : i0 + self.rows]
-                cols = max(1, self.entries // len(a))
-                for c0 in range(lo, hi, cols):
-                    c = codes_to_digits(self.ctx, np.arange(c0, min(c0 + cols, hi)), wc)
-                    yield i0, c0, _pair_codes(self.ctx, a, c)
-            return
         for k, table in enumerate(self._tables):
             for c0, words in self._words(table, lo, hi):
                 yield k * self.rows, c0, words
@@ -239,32 +230,6 @@ class _Products:
                 c = (h0 + k) * Q
                 j0, j1 = max(lo - c, 0), min(hi - c, Q)
                 yield c + j0, self._add(table[:, j0:j1], high[:, k : k + 1])
-
-
-def _pair_codes(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) codes of the products of the digit rows of a and b,
-    for products too wide for the lanes of _Products.
-
-    Multiplication by a fixed polynomial is F_p-linear on base-p digits, so
-    for each row of the smaller side its matrix (block Toeplitz in the
-    MULMAT blocks of the row's coefficients) is built, and one batched
-    matmul applies all of them to the other side's DIGITS.  The digit sums
-    are small integers, exact in float32; they are reduced mod p and read
-    back as codes, exact in float64 below 2^53.
-    """
-    if len(a) > len(b):
-        return _pair_codes(ctx, b, a).T
-    p, s = ctx.p, ctx.s
-    wa, wb = a.shape[1], b.shape[1]
-    width = s * (wa + wb - 1)
-    mats = np.zeros((len(a), s * wb, width), dtype=np.float32)
-    scaled = ctx.MULMAT[a].transpose(0, 3, 1, 2).reshape(len(a), s, wa * s).astype(np.float32)
-    for j in range(wb):
-        mats[:, s * j : s * (j + 1), s * j : s * (j + wa)] = scaled
-    b_digits = np.take(ctx.DIGITS.astype(np.float32), b, axis=0).reshape(len(b), s * wb)
-    digit_sums = (b_digits @ mats).astype(np.int32)
-    digits = digit_sums & 1 if p == 2 else digit_sums % p
-    return (digits @ float(p) ** np.arange(width)).astype(np.int64)
 
 
 def poly_times_monics(ctx: FieldCtx, f_digits, m: int) -> np.ndarray:

@@ -564,8 +564,12 @@ def test_config_unlisted_choice_names_the_key(args, key, value, tmp_path, capsys
     (["rh-check", "--field", "3", "--l", "1", "--Q", "1,0,2"], "--Q 1,0,2: the modulus must be monic"),
     (["euler-check", "--field", "3", "--l", "1", "--Q", "1,0,2"], "--Q 1,0,2: the modulus must be monic"),
     (["logderiv-check", "--field", "3", "--l", "1", "--Q", "1,0,2"], "--Q 1,0,2: the modulus must be monic"),
+    (["rank-stats", "--field", "2", "--n", "3", "--k", "2", "--mode", "sampled", "--samples", "0"],
+     "--samples 0 must be >= 1 in sampled mode"),
+    (["rank-stats", "--field", "2", "--n", "3", "--k", "2", "--mode", "sampled", "--samples", "20",
+      "--budget", "10"], "rank_stats samples needs budget >= 20, configured 10"),
 ], ids=["budget-0", "alpha-text", "alpha-code", "beta-text", "Q-text", "Q-code", "Q-zero", "hayes-Q",
-        "rh-Q", "euler-Q", "logderiv-Q"])
+        "rh-Q", "euler-Q", "logderiv-Q", "rank-samples-0", "rank-samples-budget"])
 def test_bad_value_names_the_flag(args, message, capsys):
     import ffmobius.cli as cli
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +8,10 @@ from ffmobius import Poly, get_field
 from ffmobius.correlations import QuadraticPhase
 from ffmobius.errors import CharacteristicError, IdentityCheckError
 from ffmobius.laurent import LaurentSeries, sample_torus
+from ffmobius import quadform
 from ffmobius.quadform import (
     QuadPhase,
+    _ranks,
     dilation_matrix,
     fq_matmul,
     gauss_mean,
@@ -273,6 +277,114 @@ def test_rank_stats(F2, F3):
     s1 = rank_stats(F3, M3, 2, 1, mode="sampled", samples=50, seed=9)
     s2 = rank_stats(F3, M3, 2, 1, mode="sampled", samples=50, seed=9)
     assert s1.histogram == s2.histogram and s1.density == s2.density
+
+
+
+def _kernel_rank(ctx, M):
+    """n - log_q #{x in F_q^n : M x = 0}, counting x by enumeration."""
+    m, n = M.shape
+    x = np.arange(ctx.q**n)[:, None] // ctx.q ** np.arange(n) % ctx.q  # every x, one per row
+    Mx = np.zeros((len(x), m), dtype=np.int64)
+    for j in range(n):
+        Mx = ctx.ADD[Mx, ctx.MUL[M[:, j][None, :], x[:, j][:, None]]]
+    kernel = int((Mx == 0).all(axis=1).sum())
+    r = n
+    while ctx.q ** (n - r) < kernel:
+        r -= 1
+    assert ctx.q ** (n - r) == kernel
+    return r
+
+
+def _test_matrices(ctx, m, n, rng, count):
+    """Zero, identity-like (full rank), rank-one and random m x n matrices."""
+    yield np.zeros((m, n), dtype=np.int64)
+    yield np.eye(m, n, dtype=np.int64)
+    for _ in range(count):
+        u, v = rng.integers(0, ctx.q, size=(m, 1)), rng.integers(0, ctx.q, size=(1, n))
+        yield fq_matmul(ctx, u, v)
+        yield rng.integers(0, ctx.q, size=(m, n))
+
+
+@pytest.mark.parametrize("ps", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)], ids=lambda ps: "q={}^{}".format(*ps))
+def test_rank_matches_kernel_count(ps):
+    ctx = get_field(*ps)
+    rng = np.random.default_rng(ctx.q)
+    for m, n in [(0, 0), (1, 1), (2, 3), (3, 2), (3, 3), (4, 2)]:
+        mats = list(_test_matrices(ctx, m, n, rng, 6))
+        expected = [_kernel_rank(ctx, M) for M in mats]
+        assert [rank(ctx, M) for M in mats] == expected
+        assert _ranks(ctx, np.array(mats).reshape(len(mats), m, n)).tolist() == expected
+        assert expected[1] == min(m, n)  # the identity-like matrix has full rank
+
+
+@pytest.mark.parametrize("ps", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)],
+                         ids=lambda ps: "q={}^{}".format(*ps))
+def test_batched_ranks_match_rank_item_by_item(ps):
+    ctx = get_field(*ps)
+    rng = np.random.default_rng(7 * ctx.q)
+    for m, n in [(0, 0), (1, 1), (3, 5), (5, 3), (6, 6)]:
+        mats = list(_test_matrices(ctx, m, n, rng, 100))
+        stack = np.array(mats).reshape(len(mats), m, n)
+        assert _ranks(ctx, stack).tolist() == [rank(ctx, M) for M in mats]
+
+
+# exhaustive rank_stats of Hankel M = hankel_matrix(sample_torus(ctx, seed, 2 n), n),
+# recorded with the per-pair m_ab and scalar elimination
+HANKEL_RANK_STATS = [
+    ((2, 1), 8, 3, 2, 5, {0: 31, 1: 2, 2: 10, 3: 31, 4: 65, 5: 117}, Fraction(43, 256)),
+    ((3, 1), 6, 2, 2, 6, {0: 53, 3: 128, 4: 548}, Fraction(53, 729)),
+    ((2, 2), 5, 2, 2, 7, {0: 127, 1: 36, 2: 1035, 3: 2898}, Fraction(599, 2048)),
+    ((5, 1), 5, 1, 2, 8, {0: 49, 3: 48, 4: 528}, Fraction(49, 625)),
+    ((3, 2), 4, 1, 1, 9, {0: 161, 2: 448, 3: 5952}, Fraction(161, 6561)),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 100])
+@pytest.mark.parametrize("ps, n, k, h, seed, hist, density", HANKEL_RANK_STATS,
+                         ids=[f"q={p**s}" for (p, s), *_ in HANKEL_RANK_STATS])
+def test_rank_stats_hankel_histograms_are_pinned(ps, n, k, h, seed, hist, density, chunk, monkeypatch):
+    from ffmobius import sieve
+
+    if chunk is not None:
+        monkeypatch.setattr(sieve, "CHUNK_ENTRIES", chunk)
+    ctx = get_field(*ps)
+    rs = rank_stats(ctx, hankel_matrix(sample_torus(ctx, seed, 2 * n), n), k, h)
+    assert rs.histogram == hist and list(rs.histogram) == sorted(hist)
+    assert rs.total == ctx.q ** (2 * k + 2) == sum(hist.values())
+    assert rs.density == density
+
+
+def test_rank_stats_general_symmetric_is_pinned(F3):
+    M = np.array([[0, 0, 2, 1, 1], [0, 2, 0, 1, 0], [2, 0, 1, 0, 1], [1, 1, 0, 2, 1], [1, 0, 1, 1, 1]])
+    assert not is_hankel(M)
+    rs = rank_stats(F3, M, 2, 1)
+    assert rs.histogram == {0: 53, 1: 20, 2: 188, 3: 468} and rs.density == Fraction(73, 729)
+    rs = rank_stats(F3, M, 2, 1, mode="sampled", samples=40, seed=3)
+    assert rs.histogram == {0: 3, 1: 1, 2: 8, 3: 28} and rs.density == Fraction(4, 40)
+    assert rs.total == 40 and rs.mode == "sampled"
+
+
+def test_rank_stats_char2_general_matrix_rejected(F2):
+    M = np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(CharacteristicError):
+            rank_stats(F2, M, 1, 0, mode=mode, samples=5)
+
+
+def test_rank_stats_builds_the_basis_compressions_once(F3, monkeypatch):
+    calls = []
+    real = quadform.m_ab
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(quadform, "m_ab", spy)
+    M = hankel_matrix(sample_torus(F3, 2, 12), 6)
+    for k, mode in [(0, "exhaustive"), (2, "exhaustive"), (2, "sampled")]:
+        calls.clear()
+        rank_stats(F3, M, k, 1, mode=mode, samples=30)
+        assert len(calls) == (k + 1) ** 2
 
 
 ORACLE_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F25", "F27"]

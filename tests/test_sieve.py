@@ -443,8 +443,6 @@ def test_lane_products_match_poly_mult_at_lane_limit(field, kind, chunk, monkeyp
     p, s, width = field
     if chunk is not None:
         monkeypatch.setattr(_sieve, "CHUNK_ENTRIES", chunk)
-    calls = []
-    monkeypatch.setattr(_sieve, "_pair_codes", lambda *args: calls.append(1))
     ctx, a, lo, hi = _lane_case(p, s, width, 0, kind, seed=17 * p + s)
     assert s * (a.shape[1] + _sieve._ndigits(ctx.q, hi - 1) - 1) == s * width  # at the limit
     got = _product_matrix(ctx, a, lo, hi, hi)
@@ -452,33 +450,24 @@ def test_lane_products_match_poly_mult_at_lane_limit(field, kind, chunk, monkeyp
     # a table built for a larger range gives the same products
     assert np.array_equal(_product_matrix(ctx, a[:, : a.shape[1] - 1], lo, hi, hi + 1),
                           np.array(_poly_products(ctx, a[:, :-1], lo, hi), dtype=np.uint64))
-    assert not calls  # no product went past the lanes
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("field", LANE_FIELDS, ids=lambda f: "q={}^{},N={}".format(*f))
 def test_products_past_lane_limit_use_pair_codes(field, chunk, monkeypatch):
-    # one coefficient past the lanes; the codes are compared where float64
-    # holds them exactly (below 2^53), which excludes p = 2
+    # one coefficient past the lanes: the primitive refuses the products at
+    # construction, naming their width and the lanes of a word
+    from ffmobius.errors import PrecisionExceeded
+
     p, s, width = field
     if chunk is not None:
         monkeypatch.setattr(_sieve, "CHUNK_ENTRIES", chunk)
-    calls = []
-    pair_codes = _sieve._pair_codes
-
-    def spy(ctx, a, b):
-        calls.append(1)
-        return pair_codes(ctx, a, b) if p > 2 else np.zeros((len(a), len(b)), dtype=np.int64)
-
-    monkeypatch.setattr(_sieve, "_pair_codes", spy)
+    b = {2: 1, 3: 3}.get(p, 4)  # bits per lane
     for kind in ("monic", "span"):
-        calls.clear()
         ctx, a, lo, hi = _lane_case(p, s, width, 1, kind, seed=31 * p + s)
-        got = _product_matrix(ctx, a, lo, hi, hi)
-        assert calls
-        if p > 2:
-            assert ctx.q ** (a.shape[1] + _sieve._ndigits(ctx.q, hi - 1) - 1) < 2**53
-            assert [[int(x) for x in row] for row in got] == _poly_products(ctx, a, lo, hi)
+        message = f"^products of {s * (width + 1)} F_{p} digits exceed the {64 // b} {b}-bit lanes of a word$"
+        with pytest.raises(PrecisionExceeded, match=message):
+            _sieve._Products(ctx, a, hi)
 
 
 @pytest.mark.parametrize("ps", [(2, 1), (3, 1), (2, 2)], ids=lambda ps: "q={}^{}".format(*ps))
