@@ -44,6 +44,7 @@ from .correlations import (
     type_one_mean_square,
     vaughan_decompose,
     _random_quad_phase,
+    _random_symmetric,
 )
 from . import sieve as _sieve
 
@@ -472,12 +473,7 @@ def run_isotropic(ctx, cfg, rng):
     n, r = cfg["n"], cfg["r"]
     rows = []
     for trial in range(cfg["trials"]):
-        forms = []
-        for _ in range(r):
-            M = rng().integers(0, ctx.p, size=(n, n))
-            M = np.triu(M)
-            M = M + np.triu(M, 1).T
-            forms.append(M % ctx.p)
+        forms = [_random_symmetric(rng(), n, ctx.p) for _ in range(r)]
         count, bound = isotropic_count(ctx, forms, n, budget=cfg["budget"])
         rows.append((trial, n, r, count, bound, True))
     return ["trial", "n", "r", "count", "bound", "ok"], rows
@@ -487,8 +483,11 @@ def run_rank_stats(ctx, cfg, rng):
     n, k, h = cfg["n"], cfg["k"], cfg["h"]
     if k > n:
         raise UsageError(f"--k {k} must lie in 0..{n}, the value of --n")
-    if cfg["mode"] == "sampled" and cfg["samples"] < 1:
-        raise UsageError(f"--samples {cfg['samples']} must be >= 1 in sampled mode")
+    if cfg["mode"] == "sampled":
+        if cfg["samples"] < 1:
+            raise UsageError(f"--samples {cfg['samples']} must be >= 1 in sampled mode")
+        if ctx.q ** (k + 1) > 2**63:
+            raise UsageError(f"--k {k} must keep {ctx.q}^{k + 1} <= 2^63 in sampled mode")
     alpha = sample_torus(ctx, rng(), 2 * n + 2)
     M = hankel_matrix(alpha, n)
     rs = rank_stats(

@@ -625,10 +625,8 @@ _AUDIT_ARRAYS: dict[tuple, dict] = {}
 
 
 def _audit_arrays(ctx: FieldCtx, D: int) -> dict:
-    """Shared convolution arrays over monic codes of degree <= D.
-
-    ones * mu, mu * mu and ones * (mu * mu) are computed by honest pairwise
-    enumeration (no Mobius-inversion shortcuts), once per (field, D)."""
+    """mu and the monic indicator over the codes below 2 q^D, once per
+    (field, D): the inputs of the Vaughan split."""
     key = (ctx, D)
     if key not in _AUDIT_ARRAYS:
         q = ctx.q
@@ -638,38 +636,33 @@ def _audit_arrays(ctx: FieldCtx, D: int) -> dict:
         ones = np.zeros(size, dtype=np.int64)
         for d in range(D + 1):
             ones[q**d : 2 * q**d] = 1
-        full_s = _sieve.convolve_monic(ctx, D, ones, mu)  # sum of mu over divisors
-        c2 = _sieve.convolve_monic(ctx, D, mu, mu)  # mu * mu
-        f3 = _sieve.convolve_monic(ctx, D, ones, c2)  # mu * mu * 1
-        _AUDIT_ARRAYS[key] = {"mu": mu, "ones": ones, "full_s": full_s, "c2": c2, "f3": f3}
+        _AUDIT_ARRAYS[key] = {"mu": mu, "ones": ones}
     return _AUDIT_ARRAYS[key]
 
 
-def _mu_truncated(ctx, mu, D, cutoff, above: bool):
-    out = np.zeros_like(mu)
-    q = ctx.q
-    for d in range(D + 1):
-        if (d > cutoff) == above:
-            out[q**d : 2 * q**d] = mu[q**d : 2 * q**d]
-    return out
-
-
 def vaughan_rhs_arrays(ctx: FieldCtx, D: int, u: int, v: int):
-    """Arrays A1 = (mu_u * mu_v * 1) and B = (mu_{>u} * mu_{>v} * 1) over
-    monic codes of degree <= D, plus the type II coefficient array
-    b_d = sum over divisors a of d with deg a > u of mu(a)."""
+    """The Vaughan split of mu over monic codes of degree <= D from four
+    honest convolutions (pairwise enumeration, no Mobius inversion):
+
+        w_uv = mu_{<=u} * mu_{<=v}       (type I coefficients)
+        a1   = w_uv * 1
+        r_u  = mu_{>u} * 1               (type II coefficients)
+        b    = r_u * mu_{>v} = mu_{>u} * mu_{>v} * 1
+
+    so that mu = -a1 + b wherever the audit clears.  The monic codes of
+    degree <= u are the monic codes below 2 q^u, and mu vanishes off monic
+    codes, so each degree cut-off of mu is a code prefix."""
     arrays = _audit_arrays(ctx, D)
     mu, ones = arrays["mu"], arrays["ones"]
-    mu_u = _mu_truncated(ctx, mu, D, u, above=False)
-    mu_v = _mu_truncated(ctx, mu, D, v, above=False)
-    w_uv = _sieve.convolve_monic(ctx, D, mu_u, mu_v)
+    cut_u, cut_v = 2 * ctx.q**u, 2 * ctx.q**v
+    mu_above_u = mu.copy()
+    mu_above_u[:cut_u] = 0
+    mu_above_v = mu.copy()
+    mu_above_v[:cut_v] = 0
+    w_uv = _sieve.convolve_monic(ctx, D, mu[:cut_u], mu[:cut_v])
     a1 = _sieve.convolve_monic(ctx, D, w_uv, ones)
-    # r_u[g] = sum_{a | g, deg a > u} mu(a), via the honest full divisor sum
-    r_u = arrays["full_s"] - _sieve.convolve_monic(ctx, D, mu_u, ones)
-    r_v = arrays["full_s"] - _sieve.convolve_monic(ctx, D, mu_v, ones)
-    m1 = _sieve.convolve_monic(ctx, D, mu_u, r_v)  # small a, large b
-    m2 = _sieve.convolve_monic(ctx, D, mu_v, r_u)  # small b, large a
-    b_arr = arrays["f3"] - a1 - m1 - m2
+    r_u = _sieve.convolve_monic(ctx, D, mu_above_u, ones)
+    b_arr = _sieve.convolve_monic(ctx, D, r_u, mu_above_v)
     return {"a1": a1, "b": b_arr, "w_uv": w_uv, "r_u": r_u}
 
 
@@ -906,11 +899,16 @@ def exponent_sweep(
     return rows
 
 
+def _random_symmetric(rng, n: int, high: int) -> np.ndarray:
+    """An n x n symmetric matrix with entries in [0, high): one draw of an
+    n x n matrix, its upper triangle (diagonal included) mirrored below."""
+    M = np.triu(rng.integers(0, high, size=(n, n)))
+    return M + np.triu(M, 1).T
+
+
 def _random_quad_phase(ctx: FieldCtx, n: int, rng) -> QuadPhase:
-    M = rng.integers(0, ctx.q, size=(n, n))
-    M = np.triu(M)
-    M = M + np.triu(M, 1).T  # symmetric with free diagonal
+    M = _random_symmetric(rng, n, ctx.q)
     b = rng.integers(0, ctx.q, size=n)
     c = int(rng.integers(0, ctx.q))
     r = int(rng.integers(1, ctx.q))
-    return QuadPhase(ctx, M % ctx.q, b, c, r)
+    return QuadPhase(ctx, M, b, c, r)

@@ -198,10 +198,6 @@ class FieldCtx:
         """Absolute trace to F_p, returned as an integer in [0, p)."""
         return int(self.TRACE[a])
 
-    def eq_exponent(self, a: int) -> int:
-        """Exponent k with e_q(a) = exp(2*pi*i*k/p), i.e. k = Tr(a) mod p."""
-        return int(self.TRACE[a])
-
     def units(self):
         return range(1, self.q)
 

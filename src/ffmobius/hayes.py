@@ -131,12 +131,8 @@ class HayesGroup:
         """Product of two classes by Poly arithmetic: the oracle of _mul_by."""
         ctx, Q, l = self.ctx, self.Q, self.l
         residue = Poly.from_code(ctx, x.residue_code) * Poly.from_code(ctx, y.residue_code) % Q
-        a = (1,) + x.head
-        b = (1,) + y.head
-        head = tuple(
-            _convolve_at(ctx, a, b, k) for k in range(1, l + 1)
-        )
-        return HayesClass(residue.code, head)
+        head = Poly(ctx, (1,) + x.head) * Poly(ctx, (1,) + y.head)
+        return HayesClass(residue.code, tuple(head.coefficient(k) for k in range(1, l + 1)))
 
     def _mul_by(self, j: int) -> np.ndarray:
         """The map i -> index(e_i e_j) over every element index, in one pass.
@@ -325,16 +321,6 @@ class HayesGroup:
 
     def describe(self) -> str:
         return f"l={self.l},Q={self.Q.format()},q={self.ctx.q}"
-
-
-def _convolve_at(ctx: FieldCtx, a: tuple, b: tuple, k: int) -> int:
-    acc = 0
-    for i in range(k + 1):
-        ai = a[i] if i < len(a) else 0
-        bj = b[k - i] if k - i < len(b) else 0
-        if ai and bj:
-            acc = ctx.add(acc, ctx.mul(ai, bj))
-    return acc
 
 
 def poly_coprime(f: Poly, Q: Poly) -> bool:

@@ -154,7 +154,7 @@ class LaurentSeries:
 
     def e_exponent(self) -> int:
         """omega_p exponent of e(alpha), i.e. Tr((alpha)_{-1}) mod p."""
-        return self.ctx.eq_exponent(self.residue())
+        return self.ctx.trace(self.residue())
 
     def format(self) -> str:
         return f"{self.top}:" + ",".join(str(c) for c in self.coeffs)

@@ -313,6 +313,8 @@ def rank_stats(
     elif mode == "sampled":
         if samples < 1:
             raise ValueError("sampled mode needs samples >= 1")
+        if Q > 2**63:
+            raise ValueError(f"sampled mode draws int64 codes, and q^(k+1) = {Q} exceeds 2^63")
         if samples > budget:
             raise BudgetExceeded(samples, budget, "rank_stats samples")
         total, draws = samples, np.random.default_rng(seed).integers(0, Q, size=(samples, 2))

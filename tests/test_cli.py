@@ -568,8 +568,10 @@ def test_config_unlisted_choice_names_the_key(args, key, value, tmp_path, capsys
      "--samples 0 must be >= 1 in sampled mode"),
     (["rank-stats", "--field", "2", "--n", "3", "--k", "2", "--mode", "sampled", "--samples", "20",
       "--budget", "10"], "rank_stats samples needs budget >= 20, configured 10"),
+    (["rank-stats", "--field", "3", "--n", "45", "--k", "40", "--mode", "sampled", "--samples", "2"],
+     "--k 40 must keep 3^41 <= 2^63 in sampled mode"),
 ], ids=["budget-0", "alpha-text", "alpha-code", "beta-text", "Q-text", "Q-code", "Q-zero", "hayes-Q",
-        "rh-Q", "euler-Q", "logderiv-Q", "rank-samples-0", "rank-samples-budget"])
+        "rh-Q", "euler-Q", "logderiv-Q", "rank-samples-0", "rank-samples-budget", "rank-k-overflow"])
 def test_bad_value_names_the_flag(args, message, capsys):
     import ffmobius.cli as cli
 

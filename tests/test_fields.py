@@ -32,8 +32,7 @@ def test_division_by_zero_raises(F4):
 def test_trace_examples(F2, F4):
     assert F4.trace(2) == 1  # Tr(x) = x + x^2 = 1 in F_4
     assert F4.trace(0) == 0
-    assert F2.trace(1) == 1
-    assert F2.eq_exponent(1) == 1  # e_2(1) = -1
+    assert F2.trace(1) == 1  # e_2(1) = -1
 
 
 def test_trace_lands_in_prime_field(F9):

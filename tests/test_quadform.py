@@ -371,6 +371,15 @@ def test_rank_stats_char2_general_matrix_rejected(F2):
             rank_stats(F2, M, 1, 0, mode=mode, samples=5)
 
 
+def test_rank_stats_sampled_refuses_codes_past_int64(F2, F3):
+    # the draw takes codes below q^(k+1) as int64, refused before it is made
+    M = hankel_matrix(sample_torus(F3, 2, 90), 44)
+    with pytest.raises(ValueError, match=rf"q\^\(k\+1\) = {3**41} exceeds 2\^63"):
+        rank_stats(F3, M, 40, 1, mode="sampled", samples=2)
+    with pytest.raises(ValueError, match=rf"q\^\(k\+1\) = {2**64} exceeds 2\^63"):
+        rank_stats(F2, np.zeros((64, 64), dtype=int), 63, 0, mode="sampled", samples=2)
+
+
 def test_rank_stats_builds_the_basis_compressions_once(F3, monkeypatch):
     calls = []
     real = quadform.m_ab

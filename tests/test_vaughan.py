@@ -22,8 +22,9 @@ from ffmobius.quadform import QuadPhase
 from test_correlations import _kernel_phases
 
 
-def pointwise_rhs(f, u, v):
-    """Brute-force the two divisor-pair sums straight from the definition."""
+def divisor_pair_sums(f, u, v):
+    """(A1(f), B(f)) straight from the definition: mu(a) mu(b) summed over
+    the pairs with a b | f and deg a <= u, deg b <= v, or deg a > u, deg b > v."""
     first = second = 0
     for a in divisors(f):
         for b in divisors(f):
@@ -35,6 +36,11 @@ def pointwise_rhs(f, u, v):
                 first += ma * mb
             if a.deg > u and b.deg > v:
                 second += ma * mb
+    return first, second
+
+
+def pointwise_rhs(f, u, v):
+    first, second = divisor_pair_sums(f, u, v)
     return -first + second
 
 
@@ -138,6 +144,39 @@ def test_coefficient_bounds_exhaustive(F2):
                     a_expect += mobius(a) * mobius(b)
             assert int(arrays["w_uv"][f.code]) == a_expect
             assert abs(a_expect) <= tau(f)
+
+
+@pytest.mark.parametrize(
+    "q,D,u,v", [(2, 7, 0, 2), (2, 7, 2, 1), (3, 5, 1, 2), (3, 5, 0, 0), (4, 4, 2, 1), (5, 3, 0, 1)]
+)
+def test_a1_and_b_match_divisor_pair_sums(q, D, u, v):
+    # each side on its own, so that errors which cancel in -a1 + b show
+    from ffmobius.correlations import vaughan_rhs_arrays
+
+    ctx = get_field(2, 2) if q == 4 else get_field(q)
+    rhs = vaughan_rhs_arrays(ctx, D, u, v)
+    want_a1, want_b = np.zeros_like(rhs["a1"]), np.zeros_like(rhs["b"])
+    for d in range(D + 1):
+        for f in enumerate_polys(ctx, "A", d):
+            want_a1[f.code], want_b[f.code] = divisor_pair_sums(f, u, v)
+    assert np.array_equal(rhs["a1"], want_a1)
+    assert np.array_equal(rhs["b"], want_b)
+
+
+def test_rhs_arrays_make_four_convolutions(F3, monkeypatch):
+    calls = []
+    convolve = _sieve.convolve_monic
+
+    def counted(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(_sieve, "convolve_monic", counted)
+    monkeypatch.setattr(correlations, "_AUDIT_ARRAYS", {})  # so the arrays are built here
+    correlations._audit_arrays(F3, 6)
+    assert calls == []
+    correlations.vaughan_rhs_arrays(F3, 6, 1, 2)
+    assert len(calls) == 4
 
 
 def type_one_table(ctx, u, v):
