@@ -20,19 +20,19 @@ The sums over A_n of lambda(f), mu(f) lambda(f) and Lambda(f) lambda(f)
 come from one table per group: class_weights bincounts A_n by class key,
 with residue ranks in place of codes.  Each block of character exponents
 is computed once and histogrammed exactly against the weights of every
-missing degree; only the complex sums are kept, one 1-D dot per histogram
-row.  The L-polynomials and the Euler and log-derivative checks read that
-table.  For non-principal lambda the c_n must vanish for n >= l + deg Q,
-every root must have modulus 1 or q^(-1/2), and 1/L must reproduce the
-Mobius-twisted sums; violations raise, since all three facts are theorems
-in this setting.
+missing degree; only the complex sums are kept, from one stacked matmul per
+block that makes the same 1-D dot for each histogram row.  The L-polynomials
+and the Euler and log-derivative checks read that table.  For non-principal
+lambda the c_n must vanish for n >= l + deg Q, every root must have modulus
+1 or q^(-1/2), and 1/L must reproduce the Mobius-twisted sums; violations
+raise, since all three facts are theorems in this setting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -116,7 +116,17 @@ class HayesGroup:
         assert len(self._residues) == self.phi, "phi(Q) mismatch against enumeration"
         self._residue_rank = np.full(ctx.q**self.m, -1, dtype=np.int64)
         self._residue_rank[self._residues] = np.arange(self.phi)
-        self._tmod = _tmod_rows(ctx, Q, 2 * max(self.m, 1) - 2)
+        # _mul_by's tables: the digits of each residue (rows < phi) and of each
+        # head (1, a_1..a_l) (rows phi..) in disjoint columns, and law, with
+        # sum_k v_k law[k] the block-diagonal matrix of the element of digits v
+        m, N = self.m, self.m + l + 1
+        self._digits = np.zeros((self.phi + ctx.q**l, N), dtype=np.int64)
+        self._digits[: self.phi, :m] = _sieve.codes_to_digits(ctx, self._residues, m)
+        self._digits[self.phi :, m:] = _sieve.monic_digit_matrix(ctx, l)[:, np.r_[l, :l]]
+        k, h, law = np.arange(m), np.arange(l + 1), np.zeros((N, N, N), dtype=np.int64)
+        law[:m, :m, :m] = _tmod_rows(ctx, Q, max(2 * m - 2, 0))[np.add.outer(k, k)]  # t^(k+a) mod Q
+        law[m:, m:, m:] = np.add.outer(h, h)[..., None] == h  # u^k u^a = u^c
+        self._law = law.reshape(N, N * N)
         self.identity = class_of(Poly.one(ctx), l, Q)
         self._build_structure()
         self._weights_cache: dict[int, tuple] = {}
@@ -139,19 +149,15 @@ class HayesGroup:
 
         Multiplication by e_j is F_q-linear on residue digits (rows t^a r_j
         mod Q, from the rows t^k mod Q) and on heads (1, a_1..a_l) (products
-        with (1, b_1..b_l) truncated after u^l): two matrix products, each
-        against the transposed dilation matrix of e_j's part."""
-        from .quadform import dilation_matrix, fq_matmul
+        with (1, b_1..b_l) truncated after u^l): one product of the residue
+        and head digit rows against e_j's block-diagonal matrix."""
+        from .quadform import fq_matmul
 
-        ctx, l, ql, w = self.ctx, self.l, self.ctx.q**self.l, max(self.m, 1)  # Q = 1: one zero digit
-        R = _sieve.codes_to_digits(ctx, self._residues, w)
-        Lr = dilation_matrix(ctx, Poly(ctx, R[j // ql]), 2 * w - 1, w - 1)
-        res = fq_matmul(ctx, R, fq_matmul(ctx, Lr.T, self._tmod))
-        H = _sieve.monic_digit_matrix(ctx, l)[:, np.r_[l, :l]]
-        Lh = dilation_matrix(ctx, Poly(ctx, H[j % ql]), 2 * l + 1, l)[: l + 1]
-        head = fq_matmul(ctx, H, Lh.T)[:, 1:]
-        rank = self._residue_rank[_sieve.digits_to_codes(ctx, res)]
-        return (rank[:, None] * ql + _sieve.digits_to_codes(ctx, head)).ravel()
+        ctx, phi, ql, m, X = self.ctx, self.phi, self.ctx.q**self.l, self.m, self._digits
+        B = fq_matmul(ctx, X[[j // ql]] + X[[phi + j % ql]], self._law).reshape(X.shape[1], -1)
+        out = fq_matmul(ctx, X, B)
+        rank = self._residue_rank[_sieve.digits_to_codes(ctx, out[:phi, :m])]
+        return (rank[:, None] * ql + _sieve.digits_to_codes(ctx, out[phi:, m + 1 :])).ravel()
 
     def _class_at(self, i: int) -> HayesClass:
         q = self.ctx.q
@@ -201,10 +207,7 @@ class HayesGroup:
         R = [[rel_rows[j][i] if i < len(rel_rows[j]) else 0 for j in range(k)] for i in range(k)]
         D, U, _V = smith_normal_form(R)
         diag = [D[i][i] for i in range(k)]
-        prod = 1
-        for d in diag:
-            prod *= d
-        assert all(d > 0 for d in diag) and prod == self.order, (
+        assert all(d > 0 for d in diag) and prod(diag) == self.order, (
             "invariant factors do not multiply to the group order"
         )
         keep = [i for i, d in enumerate(diag) if d > 1]
@@ -294,13 +297,9 @@ class HayesGroup:
         for start, _, hist in self._histogram_blocks([n], budget):
             yield start, hist
 
-    def char_sums(self, n: int, budget: int = 1_200_000) -> np.ndarray:
-        """(order, 3) complex sums over A_n of lambda(f), mu(f) lambda(f) and
-        Lambda(f) lambda(f), one row per character id."""
-        return self.char_sum_table(n, budget=budget)[n]
-
     def char_sum_table(self, n_max: int, budget: int = 1_200_000) -> np.ndarray:
-        """(n_max + 1, order, 3) complex array of char_sums(n), n = 0..n_max;
+        """(n_max + 1, order, 3) complex sums over A_n, n = 0..n_max, of lambda(f),
+        mu(f) lambda(f) and Lambda(f) lambda(f), one row per character id;
         degrees not yet kept come from one histogram pass."""
         missing = range(len(self._sums), n_max + 1)
         if missing:
@@ -312,10 +311,10 @@ class HayesGroup:
                     self.class_weights(n, budget=budget)
             sums = np.empty((len(missing), self.order, 3), dtype=complex)
             for start, i, hist in self._histogram_blocks(missing, budget):
-                # one 1-D dot per histogram, so that no float depends on the
-                # blocking or on how many characters share a call
-                dots = [r @ self._unit_roots for r in hist.astype(complex).reshape(-1, hist.shape[2])]
-                sums[i, start : start + len(hist)] = np.reshape(dots, hist.shape[:2])
+                # the stacked matmul makes the same 1-D dot for each histogram
+                # row, so no float depends on the blocking; a 2-D H @ z would not
+                sums[i, start : start + len(hist)] = np.matmul(
+                    hist.astype(complex)[..., None, :], self._unit_roots[:, None])[..., 0, 0]
             self._sums = np.concatenate([self._sums, sums])
         return self._sums[: n_max + 1]
 
@@ -433,35 +432,33 @@ def l_polynomial(char: HayesCharacter, n_max: int, budget: int = 1_200_000) -> L
     """Coefficients c_n = sum_{f in A_n} lambda(f) and the roots of the
     resulting polynomial; asserts the degree bound c_n ~ 0 for
     n >= l + deg Q (|c_n| < VANISH_TOL).  Kept on the group per
-    (character, n_max)."""
+    (character, n_max); from n_max = l + deg Q - 1 on, the degree and roots
+    no longer depend on n_max, so a kept longer entry gives its prefix."""
     if char.is_principal:
         raise ValueError("l_polynomial is for non-principal characters")
-    g = char.group
-    key = (char.char_id, n_max)
+    g, cid = char.group, char.char_id
+    key, bound = (cid, n_max), g.l + g.m
     if key in g._lpolys:
         return g._lpolys[key]
-    bound = g.l + g.m
-    coeffs = g.char_sum_table(n_max, budget=budget)[:, char.char_id, 0].tolist()
+    longer = [n for n in range(n_max + 1, len(g._sums)) if (cid, n) in g._lpolys]
+    if longer and n_max >= bound - 1:
+        lp = g._lpolys[cid, longer[0]]
+        g._lpolys[key] = LPolynomial(cid, lp.coeffs[: n_max + 1], bound, lp.degree, lp.roots)
+        return g._lpolys[key]
+    coeffs = g.char_sum_table(n_max, budget=budget)[:, cid, 0].tolist()
     for n in range(bound, n_max + 1):
         if abs(coeffs[n]) >= VANISH_TOL:
             raise IdentityCheckError(
                 "L-polynomial coefficient above the degree bound",
-                counterexample=f"char {char.char_id} of {g.describe()}, n={n}, |c_n|={abs(coeffs[n]):.3g}",
+                counterexample=f"char {cid} of {g.describe()}, n={n}, |c_n|={abs(coeffs[n]):.3g}",
             )
     top = min(bound - 1, n_max)
     deg = max((k for k in range(1, top + 1) if abs(coeffs[k]) > VANISH_TOL), default=0)
     # the coefficients do not depend on n_max, so the roots are cached per
     # (character, degree), for every character of the group at once
-    roots_key = (char.char_id, deg)
-    if roots_key not in g._roots_cache:
+    if (cid, deg) not in g._roots_cache:
         _cache_group_roots(g, g.char_sum_table(n_max, budget=budget)[:, :, 0], top)
-    g._lpolys[key] = LPolynomial(
-        char_id=char.char_id,
-        coeffs=tuple(coeffs),
-        degree_bound=bound,
-        degree=deg,
-        roots=tuple(g._roots_cache[roots_key]),
-    )
+    g._lpolys[key] = LPolynomial(cid, tuple(coeffs), bound, deg, tuple(g._roots_cache[cid, deg]))
     return g._lpolys[key]
 
 
@@ -608,9 +605,10 @@ def log_deriv_check(char: HayesCharacter, l_max: int, budget: int = 1_200_000):
     g = char.group
     lp = l_polynomial(char, g.l + g.m + 1, budget=budget)
     alphas = lp.inverse_roots()
+    mangoldt_sums = g.char_sum_table(l_max, budget=budget)[:, char.char_id, 2].tolist()
     rows = []
     for l in range(1, l_max + 1):
-        lhs = complex(g.char_sums(l, budget=budget)[char.char_id, 2])
+        lhs = mangoldt_sums[l]
         rhs = -sum(a**l for a in alphas) if alphas else 0j
         resid = abs(lhs - rhs)
         if resid >= VANISH_TOL:

@@ -472,6 +472,24 @@ def test_group_roots_match_np_roots(p):
     assert {0, 1} <= degrees
 
 
+
+def test_stacked_dots_match_row_dots():
+    # char_sum_table's stacked matmul must make, for each histogram row r,
+    # the float r @ z bit for bit, signed zeros included; a numpy or BLAS
+    # whose stacked (1 x L) @ (L x 1) items take another route fails here
+    rng = np.random.default_rng(2024)
+    for L in range(1, 101):
+        z = np.exp(2j * np.pi * np.arange(L) / L)
+        hist = np.concatenate([rng.integers(0, 50, (5, 3, L)), rng.integers(-50, 50, (5, 3, L)),
+                               rng.integers(-(2**40), 2**40 + 1, (5, 3, L))])
+        hist[0, 0] = 0
+        hist[1, 1, :] = 2**40
+        got = np.matmul(hist.astype(complex)[..., None, :], z[:, None])[..., 0, 0]
+        want = np.array([[r @ z for r in block] for block in hist.astype(complex)])
+        for part in ("real", "imag"):
+            bits = [np.ascontiguousarray(getattr(x, part)).view(np.uint64) for x in (got, want)]
+            assert np.array_equal(*bits), (L, part)
+
 def test_hayes_survey_script_smoke(tmp_path):
     script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "hayes_survey.py"
     res = subprocess.run(
@@ -604,6 +622,35 @@ def test_structure_matches_poly_walk(case):
     assert g.dlog_y.dtype == np.int64 and np.array_equal(g.dlog_y, dlog_y)
     assert g.structure == structure
 
+
+
+@pytest.mark.parametrize("case", SMALL_GROUPS, ids=lambda c: "q={}^{},l={},Q={}".format(*c[0], *c[1:]))
+def test_lpoly_prefix_reuse_matches_fresh_group(case, monkeypatch):
+    def nonprincipal(g):
+        return [c for c in g.characters() if not c.is_principal]
+
+    l, m = case[1], small_group(*case).m
+    # from n_max = l + m - 1 on, a shorter request is the prefix of a longer
+    # entry; below it, the degree may be cut short, so it is recomputed
+    for n in range(max(l + m - 3, 0), l + m + 3):
+        fresh = [repr(l_polynomial(c, n)) for c in nonprincipal(small_group(*case))]
+        for longer in (n + 1, n + 2):
+            chars = nonprincipal(small_group(*case))
+            for c in chars:
+                l_polynomial(c, longer)
+            assert [repr(l_polynomial(c, n)) for c in chars] == fresh, (n, longer)
+    # log_deriv_check's request at l + m + 1 after l + m + 2 reads neither the
+    # table nor the roots again
+    g = small_group(*case)
+    chars = nonprincipal(g)
+    for c in chars:
+        l_polynomial(c, l + m + 2)
+    calls = []
+    monkeypatch.setattr(hayes, "_cache_group_roots", lambda *a: calls.append("roots"))
+    monkeypatch.setattr(g, "char_sum_table", lambda *a, **k: calls.append("table"))
+    for c in chars:
+        assert l_polynomial(c, l + m + 1).coeffs == l_polynomial(c, l + m + 2).coeffs[: l + m + 2]
+    assert calls == []
 
 def test_residue_table_cached_and_capped(monkeypatch, F3, F4):
     cases = [(F3, "2,1,1", 4), (F3, "1,0,2,1", 3), (F4, "2,1", 3), (F4, "0,1,1", 2)]
