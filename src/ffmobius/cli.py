@@ -233,7 +233,9 @@ def write_report(sub: str, cfg: dict, columns: list, rows: list):
         sys.stdout.write(text)
 
 
-def _parse_alpha(ctx, text: str, rng, prec: int, flag: str) -> LaurentSeries:
+def _parse_alpha(ctx, text: str, rng, prec: int, flag: str, need: int) -> LaurentSeries:
+    """The series of flag: a draw or zero at precision prec, or the literal
+    text, which must carry precision >= need."""
     if text == "random":
         return sample_torus(ctx, rng(), prec)
     if text == "0":
@@ -244,6 +246,8 @@ def _parse_alpha(ctx, text: str, rng, prec: int, flag: str) -> LaurentSeries:
         raise UsageError(f"{flag} {text}: {exc}") from None
     if not alpha.in_torus():
         raise UsageError(f"{flag} {text} is not in the torus: its coefficients of degree >= 0 must be 0")
+    if alpha.prec < need:
+        raise UsageError(f"{flag} {text} has precision {alpha.prec}, needs >= {need}")
     return alpha
 
 
@@ -387,7 +391,7 @@ def run_logderiv_check(ctx, cfg, rng):
 
 def run_linear_corr(ctx, cfg, rng):
     n = cfg["n"]
-    alpha = _parse_alpha(ctx, cfg["alpha"], rng, n + 1, "--alpha")
+    alpha = _parse_alpha(ctx, cfg["alpha"], rng, n + 1, "--alpha", n + (cfg["domain"] == "A"))
     rep = linear_corr(ctx, n, alpha, cfg["domain"], cfg["budget"], cfg["workers"])
     s = rep.sum(ctx)
     rows = [
@@ -421,8 +425,8 @@ def run_hankel_corr(ctx, cfg, rng):
     n = cfg["n"]
     rows = []
     for trial in range(cfg["trials"]):
-        alpha = _parse_alpha(ctx, cfg["alpha"], rng, 2 * n + 2, "--alpha")
-        beta = _parse_alpha(ctx, cfg["beta"], rng, n + 1, "--beta")
+        alpha = _parse_alpha(ctx, cfg["alpha"], rng, 2 * n + 2, "--alpha", 2 * n - 1)
+        beta = _parse_alpha(ctx, cfg["beta"], rng, n + 1, "--beta", n)
         rep = hankel_corr(ctx, n, alpha, beta, cfg["budget"], cfg["workers"])
         s = rep.sum(ctx)
         rows.append((trial, n, rep.phase, s.real, s.imag, rep.abs(ctx), rep.empirical_exponent(ctx)))
@@ -431,8 +435,13 @@ def run_hankel_corr(ctx, cfg, rng):
 
 def run_vaughan_audit(ctx, cfg, rng):
     n = cfg["n"]
+    # unset, u and v take vaughan_decompose's default n // 18
+    u = n // 18 if cfg["u"] is None else cfg["u"]
+    v = n // 18 if cfg["v"] is None else cfg["v"]
+    if u + v >= n:
+        raise UsageError(f"--u {u} + --v {v} must be < --n {n}")
     phase = LinearPhase(sample_torus(ctx, rng(), n + 2))
-    rep = vaughan_decompose(ctx, n, phase, cfg["u"], cfg["v"], cfg["budget"], cfg["workers"])
+    rep = vaughan_decompose(ctx, n, phase, u, v, cfg["budget"], cfg["workers"])
     rows = [
         ("n", n),
         ("u", rep.u),

@@ -7,7 +7,8 @@ dot product taken at the end.  Phases know how to evaluate themselves on a
 block of coefficient vectors and how to compose with a dilation w -> d w;
 the dilations are the tests' independent route to the Vaughan type I / type
 II sums, which the decomposition itself evaluates as the base phase's form
-at the product codes of d w (`_dilation_hists`).
+at the product codes of d w (`_dilation_hists`), binned by the degree of w,
+so that T1, T2 and the direct sum are kept per degree of f.
 
 All three phase kinds share one kernel.  Each is chi_r(Q(f)) with Q of
 degree <= 2 in the coefficients of f, and gives Q as quadratic data
@@ -387,31 +388,36 @@ def _map_spans(fn, lo: int, hi: int, workers: int) -> list:
 
 def _dilation_hists(ctx: FieldCtx, form: PhaseForm, d_codes: np.ndarray, dd: int, lo: int,
                     hi: int, weights: np.ndarray | None = None, workers: int = 1) -> np.ndarray:
-    """(len(d_codes), p) exponent histograms, row i over the w in [lo, hi)
-    of G_(n - dd) weighted by weights[w] (1 when None) at the exponent of
-    d_i w, for monic codes d_i of degree dd < n and a phase's compiled form
-    on n coordinates.  Row i is phase_hist of phase.compose_dilation(d_i) on
-    n - dd coordinates, the route the tests compare against.  The codes
-    of d w come from one sieve._Products of the d_i, built before the
-    spans, and each of its blocks is one bincount on row p + exponent;
-    spans of CHUNK w-codes are mapped over threads as in phase_hist."""
-    p = ctx.p
+    """(len(d_codes), S, p) exponent histograms: [i, s] is over the w in
+    [lo, hi) of G_(n - dd) with s = 1 + deg w (s = 0 for w = 0), weighted
+    by weights[w] (1 when None) at the exponent of d_i w, for monic codes
+    d_i of degree dd < n and a phase's compiled form on n coordinates; S is
+    1 + the number of base-q digits of hi - 1.  Summed over s, row i is
+    phase_hist of phase.compose_dilation(d_i) on n - dd coordinates, the
+    route the tests compare against.  The codes of d w come from one
+    sieve._Products of the d_i, built before the spans, and each of its
+    blocks is one bincount on (row of d, s, exponent); spans of CHUNK
+    w-codes are mapped over threads as in phase_hist."""
+    p, S = ctx.p, 1 + _sieve._ndigits(ctx.q, max(hi - 1, 0))
+    powers = ctx.q ** np.arange(S - 1)  # deg w = k from w = q^k on
     # PhaseForm.exponents expands each product into N + 1 float64 digits,
     # so a block holds CHUNK_ENTRIES digits rather than products
     entries = max(1, _sieve.CHUNK_ENTRIES // (form.N + 1))
     prod = _sieve._Products(ctx, _sieve.codes_to_digits(ctx, d_codes, dd + 1), hi, entries)
 
     def span(a, b):
-        out = np.zeros(len(d_codes) * p)
+        out = np.zeros(len(d_codes) * S * p)
         for i0, c0, words in prod.blocks(a, b):
             rows, cols = words.shape
-            bins = form.exponents(prod.codes(words).ravel()) + p * np.repeat(np.arange(rows), cols)
+            slots = np.searchsorted(powers, np.arange(c0, c0 + cols), side="right")
+            bins = p * np.add.outer(S * np.arange(rows), slots).ravel()
+            bins += form.exponents(prod.codes(words).ravel())
             w = None if weights is None else np.tile(weights[c0 : c0 + cols], rows)
-            out[i0 * p : (i0 + rows) * p] += np.bincount(bins, weights=w, minlength=rows * p)
+            out[i0 * S * p : (i0 + rows) * S * p] += np.bincount(bins, weights=w, minlength=rows * S * p)
         return out
 
     hists = _map_spans(span, lo, hi, workers)
-    return np.rint(sum(hists, np.zeros(len(d_codes) * p))).astype(np.int64).reshape(-1, p)
+    return np.rint(sum(hists, np.zeros(len(d_codes) * S * p))).astype(np.int64).reshape(-1, S, p)
 
 
 def hist_to_complex(ctx: FieldCtx, hist: np.ndarray) -> complex:
@@ -713,20 +719,6 @@ class VaughanReport:
     coefficient_bound_ok: bool
 
 
-def _degree_runs(q: int, first: int, m: int, shift: int, pass_degrees):
-    """The nonzero codes of G_m of degrees first..m-1 as maximal code ranges
-    [lo, hi) of consecutive degrees wd along which shift + wd is either
-    always or never in pass_degrees; yields (lo, hi, passes)."""
-    wd = first
-    while wd < m:
-        passes = shift + wd in pass_degrees
-        end = wd + 1
-        while end < m and (shift + end in pass_degrees) == passes:
-            end += 1
-        yield (q**wd if wd else 1), q**end, passes
-        wd = end
-
-
 def vaughan_decompose(
     ctx: FieldCtx,
     n: int,
@@ -744,8 +736,11 @@ def vaughan_decompose(
     mu(a) against mu(w) over deg w > v.  Beside the full sums the report
     carries the pointwise audit and the same sums restricted to the degrees
     the audit clears, where direct = -T1 + T2 holds bin by bin (checked).
-    Per degree of d, T1 and T2 are the coefficients times the histograms
-    of _dilation_hists; the direct sum is taken by phase_hist.
+    Each sum is kept as an (n + 1, p) table by degree of f, row 1 + deg f
+    (row 0 the w = 0 term of T1): per degree of d, T1 and T2 are the
+    coefficients times one _dilation_hists over the whole w range, and the
+    direct sum is one phase_hist per degree.  A full sum is a table's
+    total, a restricted sum its pass-degree rows.
     """
     q, p = ctx.q, ctx.p
     if u is None:
@@ -774,32 +769,31 @@ def vaughan_decompose(
             )
     form = phase.form(n)
     mu_n = _sieve.mobius_over_g(ctx, n)
-    # row 0 of each sum is the full sum, row 1 the sum over the pass degrees
-    t1, t2, direct = (np.zeros((2, p), dtype=np.int64) for _ in range(3))
+    t1, t2, direct = (np.zeros((n + 1, p), dtype=np.int64) for _ in range(3))
 
-    def dilated(out, coeffs, degrees, first, weights, head=()):
+    def dilated(out, coeffs, degrees, lo, weights):
         for dd in degrees:
             d_codes = q**dd + np.flatnonzero(coeffs[q**dd : 2 * q**dd])
             if len(d_codes):
-                for lo, hi, passes in (*head, *_degree_runs(q, first, n - dd, dd, pass_degrees)):
-                    H = _dilation_hists(ctx, form, d_codes, dd, lo, hi, weights, workers)
-                    out[: 1 + passes] += coeffs[d_codes] @ H
+                H = _dilation_hists(ctx, form, d_codes, dd, lo, q ** (n - dd), weights, workers)
+                # slot 0 (w = 0) goes to row 0, slot 1 + deg w to row 1 + deg f
+                out[np.r_[0, 1 + dd : n + 1]] += np.tensordot(coeffs[d_codes], H, 1)
 
-    # a_d = (mu_u * mu_v)(d) vanishes for deg d > u + v; w = 0 contributes
-    # Phi(0), outside every f-degree, to the full sum only
-    dilated(t1, a_d, range(u + v + 1), 0, None, [(0, 1, False)])
+    # a_d = (mu_u * mu_v)(d) vanishes for deg d > u + v
+    dilated(t1, a_d, range(u + v + 1), 0, None)
     # d of degree n - v - 1 and above leave no w with v < deg w < n - deg d
-    dilated(t2, b_d, range(n - v - 1), v + 1, mu_n)
-    for lo, hi, passes in _degree_runs(q, 0, n, 0, pass_degrees):
-        direct[: 1 + passes] += phase_hist(ctx, phase, n, lo, hi, mu_n, workers)
-    if not np.array_equal(direct[1], t2[1] - t1[1]):
+    dilated(t2, b_d, range(n - v - 1), q ** (v + 1), mu_n)
+    for k in range(n):
+        direct[1 + k] = phase_hist(ctx, phase, n, q**k, q ** (k + 1), mu_n, workers)
+    t1r, t2r, dr = (h[[1 + d for d in pass_degrees]].sum(axis=0) for h in (t1, t2, direct))
+    if not np.array_equal(dr, t2r - t1r):
         raise IdentityCheckError(
             "restricted sums violate direct = -T1 + T2",
-            counterexample=f"n={n}, u={u}, v={v}: direct {direct[1].tolist()}, "
-            f"T1 {t1[1].tolist()}, T2 {t2[1].tolist()}",
+            counterexample=f"n={n}, u={u}, v={v}: direct {dr.tolist()}, "
+            f"T1 {t1r.tolist()}, T2 {t2r.tolist()}",
         )
-    t1c, t2c, dc_ = (hist_to_complex(ctx, h[0]) for h in (t1, t2, direct))
-    t1r, t2r, dr = (hist_to_complex(ctx, h[1]) for h in (t1, t2, direct))
+    t1c, t2c, dc_ = (hist_to_complex(ctx, h.sum(axis=0)) for h in (t1, t2, direct))
+    t1r, t2r, dr = (hist_to_complex(ctx, h) for h in (t1r, t2r, dr))
     return VaughanReport(
         u=u,
         v=v,
@@ -837,7 +831,7 @@ def type_one_mean_square(
     rows = []
     for k in range(min(k_max, n - 1) + 1):
         m = n - k
-        H = _dilation_hists(ctx, form, np.arange(q**k, 2 * q**k), k, 0, q**m, None, workers)
+        H = _dilation_hists(ctx, form, np.arange(q**k, 2 * q**k), k, 0, q**m, None, workers).sum(axis=1)
         total = 0.0
         for h in H:  # in d order, so the float sum is always taken alike
             total += abs(hist_to_complex(ctx, h) / q**m) ** 2

@@ -22,7 +22,9 @@ with residue ranks in place of codes.  Each block of character exponents
 is computed once and histogrammed exactly against the weights of every
 missing degree; only the complex sums are kept, from one stacked matmul per
 block that makes the same 1-D dot for each histogram row.  The L-polynomials
-and the Euler and log-derivative checks read that table.  For non-principal
+and the Euler and log-derivative checks read that table, and the degrees
+and roots of every L-polynomial come from one roots table per group: one
+scan of the table, one stacked eigenvalue call per degree.  For non-principal
 lambda the c_n must vanish for n >= l + deg Q, every root must have modulus
 1 or q^(-1/2), and 1/L must reproduce the Mobius-twisted sums; violations
 raise, since all three facts are theorems in this setting.
@@ -131,8 +133,7 @@ class HayesGroup:
         self._build_structure()
         self._weights_cache: dict[int, tuple] = {}
         self._sums = np.empty((0, self.order, 3), dtype=complex)  # [n, char id, weight]
-        self._lpolys: dict[tuple, LPolynomial] = {}
-        self._roots_cache: dict[tuple, np.ndarray] = {}
+        self._roots: dict[int, list] = {}  # top -> (degree, roots) by char id
         self._unit_roots = np.exp(2j * np.pi * np.arange(self.exponent_lcm) / self.exponent_lcm)
 
     # -- the raw multiplication law -------------------------------------------
@@ -318,6 +319,26 @@ class HayesGroup:
             self._sums = np.concatenate([self._sums, sums])
         return self._sums[: n_max + 1]
 
+    def _roots_table(self, top: int, budget: int) -> list:
+        """(deflated degree, roots) of the L-polynomial of each non-principal
+        character, by character id, from the coefficients c_0..c_top; kept
+        per top.  The degree is the last k <= top with |c_k| > VANISH_TOL,
+        or 0, and the roots of each degree come from one _stacked_roots.  No
+        constant term is 0: c_0 = lambda(1) = 1 exactly, since A_0 = {1} and
+        1 is the identity class."""
+        if top not in self._roots:
+            C = self.char_sum_table(top, budget=budget)[:, 1:, 0]
+            big = np.abs(C) > VANISH_TOL
+            big[0] = True  # degree 0 when no later c_k is big
+            degs = top - np.argmax(big[::-1], axis=0)
+            table = [None] * self.order
+            for deg in np.unique(degs).tolist():
+                ids = np.flatnonzero(degs == deg)
+                for i, r in zip(ids.tolist(), _stacked_roots(C[deg::-1, ids].T)):
+                    table[1 + i] = (deg, r)
+            self._roots[top] = table
+        return self._roots[top]
+
     def describe(self) -> str:
         return f"l={self.l},Q={self.Q.format()},q={self.ctx.q}"
 
@@ -431,20 +452,13 @@ class LPolynomial:
 def l_polynomial(char: HayesCharacter, n_max: int, budget: int = 1_200_000) -> LPolynomial:
     """Coefficients c_n = sum_{f in A_n} lambda(f) and the roots of the
     resulting polynomial; asserts the degree bound c_n ~ 0 for
-    n >= l + deg Q (|c_n| < VANISH_TOL).  Kept on the group per
-    (character, n_max); from n_max = l + deg Q - 1 on, the degree and roots
-    no longer depend on n_max, so a kept longer entry gives its prefix."""
+    n >= l + deg Q (|c_n| < VANISH_TOL).  The degree and roots are read
+    from the group's roots table for top = min(n_max, l + deg Q - 1), past
+    which they no longer depend on n_max."""
     if char.is_principal:
         raise ValueError("l_polynomial is for non-principal characters")
     g, cid = char.group, char.char_id
-    key, bound = (cid, n_max), g.l + g.m
-    if key in g._lpolys:
-        return g._lpolys[key]
-    longer = [n for n in range(n_max + 1, len(g._sums)) if (cid, n) in g._lpolys]
-    if longer and n_max >= bound - 1:
-        lp = g._lpolys[cid, longer[0]]
-        g._lpolys[key] = LPolynomial(cid, lp.coeffs[: n_max + 1], bound, lp.degree, lp.roots)
-        return g._lpolys[key]
+    bound = g.l + g.m
     coeffs = g.char_sum_table(n_max, budget=budget)[:, cid, 0].tolist()
     for n in range(bound, n_max + 1):
         if abs(coeffs[n]) >= VANISH_TOL:
@@ -452,14 +466,8 @@ def l_polynomial(char: HayesCharacter, n_max: int, budget: int = 1_200_000) -> L
                 "L-polynomial coefficient above the degree bound",
                 counterexample=f"char {cid} of {g.describe()}, n={n}, |c_n|={abs(coeffs[n]):.3g}",
             )
-    top = min(bound - 1, n_max)
-    deg = max((k for k in range(1, top + 1) if abs(coeffs[k]) > VANISH_TOL), default=0)
-    # the coefficients do not depend on n_max, so the roots are cached per
-    # (character, degree), for every character of the group at once
-    if (cid, deg) not in g._roots_cache:
-        _cache_group_roots(g, g.char_sum_table(n_max, budget=budget)[:, :, 0], top)
-    g._lpolys[key] = LPolynomial(cid, tuple(coeffs), bound, deg, tuple(g._roots_cache[cid, deg]))
-    return g._lpolys[key]
+    deg, roots = g._roots_table(min(bound - 1, n_max), budget)[cid]
+    return LPolynomial(cid, tuple(coeffs), bound, deg, tuple(roots))
 
 
 def _stacked_roots(P: np.ndarray) -> np.ndarray:
@@ -474,24 +482,6 @@ def _stacked_roots(P: np.ndarray) -> np.ndarray:
     A[:, np.arange(1, deg), np.arange(deg - 1)] = 1
     A[:, 0, :] = -P[:, 1:] / P[:, :1]
     return np.linalg.eigvals(A)
-
-
-def _cache_group_roots(g: HayesGroup, C: np.ndarray, top: int):
-    """Put the roots of every non-principal character's L-polynomial in
-    g._roots_cache, from the (n_max + 1, order) coefficient table C.  The
-    deflated degree is the last k in 1..top with |c_k| > VANISH_TOL (0 when
-    there is none), and the roots of each degree come from one
-    _stacked_roots.  No constant term is 0: c_0 = lambda(1) = 1 exactly,
-    since A_0 = {1} and 1 is the identity class."""
-    ids = np.arange(1, g.order)
-    big = np.abs(C[1 : top + 1, ids]) > VANISH_TOL
-    degs = np.zeros(len(ids), dtype=np.int64)
-    if top >= 1:
-        degs = np.where(big.any(axis=0), top - np.argmax(big[::-1], axis=0), 0)
-    for deg in np.unique(degs).tolist():
-        chars = [i for i in ids[degs == deg].tolist() if (i, deg) not in g._roots_cache]
-        for i, r in zip(chars, _stacked_roots(C[deg::-1, chars].T)):
-            g._roots_cache[(i, deg)] = r
 
 
 def rh_check(char: HayesCharacter, n_max: int | None = None, budget: int = 1_200_000):

@@ -27,6 +27,7 @@ __all__ = [
     "mobius",
     "mangoldt",
     "tau",
+    "divisors",
     "enumerate_polys",
     "irreducibles_of_degree",
     "pnt_check",

@@ -570,14 +570,34 @@ def test_config_unlisted_choice_names_the_key(args, key, value, tmp_path, capsys
       "--budget", "10"], "rank_stats samples needs budget >= 20, configured 10"),
     (["rank-stats", "--field", "3", "--n", "45", "--k", "40", "--mode", "sampled", "--samples", "2"],
      "--k 40 must keep 3^41 <= 2^63 in sampled mode"),
+    (["vaughan-audit", "--field", "2", "--n", "4", "--u", "3", "--v", "3"], "--u 3 + --v 3 must be < --n 4"),
+    (["vaughan-audit", "--field", "2", "--n", "0"], "--u 0 + --v 0 must be < --n 0"),
+    (["linear-corr", "--n", "5", "--domain", "A", "--alpha=-1:1,0,1,1,0"],
+     "--alpha -1:1,0,1,1,0 has precision 5, needs >= 6"),
+    (["hankel-corr", "--n", "3", "--alpha=-1:1,0,1,1"], "--alpha -1:1,0,1,1 has precision 4, needs >= 5"),
+    (["hankel-corr", "--n", "3", "--alpha=-1:1,0,1,1,0", "--beta=-1:1,1"],
+     "--beta -1:1,1 has precision 2, needs >= 3"),
 ], ids=["budget-0", "alpha-text", "alpha-code", "beta-text", "Q-text", "Q-code", "Q-zero", "hayes-Q",
-        "rh-Q", "euler-Q", "logderiv-Q", "rank-samples-0", "rank-samples-budget", "rank-k-overflow"])
+        "rh-Q", "euler-Q", "logderiv-Q", "rank-samples-0", "rank-samples-budget", "rank-k-overflow",
+        "vaughan-uv", "vaughan-n-0", "linear-A-prec", "hankel-alpha-prec", "hankel-beta-prec"])
 def test_bad_value_names_the_flag(args, message, capsys):
     import ffmobius.cli as cli
 
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["linear-corr", "--field", "2", "--n", "5", "--alpha=-1:1,0,1,1,0"],
+    ["linear-corr", "--field", "2", "--n", "5", "--domain", "A", "--alpha=-1:1,0,1,1,0,1"],
+    ["hankel-corr", "--field", "2", "--n", "3", "--alpha=-1:1,0,1,1,0", "--beta=-1:1,1,0"],
+], ids=["linear-G", "linear-A", "hankel"])
+def test_series_literal_of_the_needed_precision_runs(args, capsys):
+    import ffmobius.cli as cli
+
+    assert cli.main(args) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_principal_check_takes_a_non_monic_modulus(capsys):

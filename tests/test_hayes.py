@@ -630,8 +630,8 @@ def test_lpoly_prefix_reuse_matches_fresh_group(case, monkeypatch):
         return [c for c in g.characters() if not c.is_principal]
 
     l, m = case[1], small_group(*case).m
-    # from n_max = l + m - 1 on, a shorter request is the prefix of a longer
-    # entry; below it, the degree may be cut short, so it is recomputed
+    # from n_max = l + m - 1 on, a shorter request reads the roots table of a
+    # longer one; below it, the degree may be cut short, so it has its own
     for n in range(max(l + m - 3, 0), l + m + 3):
         fresh = [repr(l_polynomial(c, n)) for c in nonprincipal(small_group(*case))]
         for longer in (n + 1, n + 2):
@@ -639,15 +639,15 @@ def test_lpoly_prefix_reuse_matches_fresh_group(case, monkeypatch):
             for c in chars:
                 l_polynomial(c, longer)
             assert [repr(l_polynomial(c, n)) for c in chars] == fresh, (n, longer)
-    # log_deriv_check's request at l + m + 1 after l + m + 2 reads neither the
-    # table nor the roots again
+    # log_deriv_check's request at l + m + 1 after l + m + 2 computes neither
+    # roots nor character sums again
     g = small_group(*case)
     chars = nonprincipal(g)
     for c in chars:
         l_polynomial(c, l + m + 2)
     calls = []
-    monkeypatch.setattr(hayes, "_cache_group_roots", lambda *a: calls.append("roots"))
-    monkeypatch.setattr(g, "char_sum_table", lambda *a, **k: calls.append("table"))
+    monkeypatch.setattr(hayes, "_stacked_roots", lambda P: calls.append("roots"))
+    monkeypatch.setattr(g, "_histogram_blocks", lambda *a: calls.append("table") or iter(()))
     for c in chars:
         assert l_polynomial(c, l + m + 1).coeffs == l_polynomial(c, l + m + 2).coeffs[: l + m + 2]
     assert calls == []

@@ -264,6 +264,29 @@ def test_restricted_identity_is_exact(F2, monkeypatch):
         vaughan_decompose(F2, n, LinearPhase(alpha), u, v)
 
 
+def test_fail_degree_enters_the_full_sums_only(F2, monkeypatch):
+    # one bin of the direct sum off by one, in degree 1, which the audit fails
+    n, u, v = 10, 2, 2
+    kernel = correlations.phase_hist
+
+    def perturbed(ctx, phase, ncoords, lo, hi, *args):
+        h = kernel(ctx, phase, ncoords, lo, hi, *args)
+        if lo == ctx.q:
+            h = h.copy()
+            h[1] += 1
+        return h
+
+    alpha = sample_torus(F2, 100, 12)
+    clean = vaughan_decompose(F2, n, LinearPhase(alpha), u, v)
+    assert 1 in clean.fail_degrees and 1 not in clean.pass_degrees
+    monkeypatch.setattr(correlations, "phase_hist", perturbed)
+    rep = vaughan_decompose(F2, n, LinearPhase(alpha), u, v)
+    assert rep.restricted_residual == clean.restricted_residual == 0
+    assert rep.direct == clean.direct - 1  # one more count at e(1/2) = -1
+    assert rep.residual != clean.residual
+    assert (rep.t1, rep.t2) == (clean.t1, clean.t2)
+
+
 def test_u_plus_v_must_be_small(F2):
     alpha = sample_torus(F2, 1, 10)
     with pytest.raises(ValueError):
@@ -315,7 +338,14 @@ def test_dilation_hists_match_composed_phases(p, s, n, monkeypatch):
                 for weights in (None, mu):
                     got = correlations._dilation_hists(ctx, form, d_codes, dd, lo, hi, weights)
                     want = _composed_hists(ctx, phase, d_codes, m, lo, hi, weights)
-                    assert np.array_equal(got, want), (phase.descriptor(), dd, lo, hi)
+                    assert np.array_equal(got.sum(axis=1), want), (phase.descriptor(), dd, lo, hi)
+                    # slot k holds the w of degree k - 1, slot 0 the w = 0
+                    edges = [0] + [q**k for k in range(got.shape[1])]
+                    for k in range(got.shape[1]):
+                        lo_k = max(lo, edges[k])
+                        hi_k = max(lo_k, min(hi, edges[k + 1]))
+                        want = _composed_hists(ctx, phase, d_codes, m, lo_k, hi_k, weights)
+                        assert np.array_equal(got[:, k], want), (phase.descriptor(), dd, lo, hi, k)
         # product blocks of one or two products, spans of five w-codes,
         # serial and threaded
         monkeypatch.setattr(_sieve, "CHUNK_ENTRIES", 7)
@@ -324,7 +354,7 @@ def test_dilation_hists_match_composed_phases(p, s, n, monkeypatch):
         want = _composed_hists(ctx, phase, d_codes, m, 0, q**m, mu)
         for workers in (1, 2):
             got = correlations._dilation_hists(ctx, form, d_codes, 1, 0, q**m, mu, workers)
-            assert np.array_equal(got, want), (phase.descriptor(), workers)
+            assert np.array_equal(got.sum(axis=1), want), (phase.descriptor(), workers)
         monkeypatch.undo()
 
 
