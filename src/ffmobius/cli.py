@@ -411,6 +411,8 @@ def run_linear_corr(ctx, cfg, rng):
 
 
 def run_quad_corr(ctx, cfg, rng):
+    if ctx.p == 2:
+        raise UsageError(f"--field {cfg['field']}: quad-corr requires odd characteristic (p > 2)")
     n = cfg["n"]
     rows = []
     for trial in range(cfg["trials"]):
@@ -464,7 +466,7 @@ def run_vaughan_audit(ctx, cfg, rng):
 
 def run_gauss_sums(ctx, cfg, rng):
     if ctx.p == 2:
-        raise CharacteristicError("gauss-sums requires odd characteristic (p > 2)")
+        raise UsageError(f"--field {cfg['field']}: gauss-sums requires odd characteristic (p > 2)")
     n = cfg["n"]
     rows = []
     for trial in range(cfg["trials"]):
@@ -479,6 +481,8 @@ def run_gauss_sums(ctx, cfg, rng):
 
 
 def run_isotropic(ctx, cfg, rng):
+    if ctx.s != 1:
+        raise UsageError(f"--field {cfg['field']}: isotropic counting is over prime fields")
     n, r = cfg["n"], cfg["r"]
     rows = []
     for trial in range(cfg["trials"]):
@@ -510,6 +514,8 @@ def run_rank_stats(ctx, cfg, rng):
 
 
 def run_exponent_sweep(ctx, cfg, rng):
+    if ctx.p == 2 and cfg["experiment"] == "quadratic":
+        raise UsageError(f"--field {cfg['field']}: --experiment quadratic requires odd characteristic (p > 2)")
     ns = range(cfg["nmin"], cfg["nmax"] + 1)
     rows = exponent_sweep(
         ctx, cfg["experiment"], ns, cfg["samples"], cfg["seed"], cfg["budget"], cfg["workers"]

@@ -4,11 +4,7 @@ Every sum is accumulated as an integer histogram of omega_p exponents
 (signed by mu), so results are exact, order independent, and merge across
 enumeration chunks by plain vector addition; the complex value is a single
 dot product taken at the end.  Phases know how to evaluate themselves on a
-block of coefficient vectors and how to compose with a dilation w -> d w;
-the dilations are the tests' independent route to the Vaughan type I / type
-II sums, which the decomposition itself evaluates as the base phase's form
-at the product codes of d w (`_dilation_hists`), binned by the degree of w,
-so that T1, T2 and the direct sum are kept per degree of f.
+block of coefficient vectors.
 
 All three phase kinds share one kernel.  Each is chi_r(Q(f)) with Q of
 degree <= 2 in the coefficients of f, and gives Q as quadratic data
@@ -21,6 +17,12 @@ checks it against the phase's own `exponents` at codes that determine a
 quadratic form, which makes the check an exact second route for every
 phase kind at every p; `phase_hist` then evaluates whole code ranges with
 one matrix product per chunk and takes the histogram with a bincount.
+The Vaughan type I / type II sums need Phi(d w) over w for many d; since
+the exponent of d w is again a quadratic form in the digits of w, with
+data (L_d^T A L_d, b L_d, c), the decomposition stacks the dilated forms
+of a block of d (`PhaseForm.dilated`) and histograms them with the same
+kernel, binned by the degree of w (`_dilation_hists`), so that T1, T2 and
+the direct sum are kept per degree of f.
 periodic_route_check compares a table keyed by Hayes class with
 linear_corr exactly and without a second kernel pass.
 """
@@ -114,9 +116,6 @@ class LinearPhase(Phase):
                 acc += tab[(codes // q**i) % q]
         return acc % ctx.p
 
-    def compose_dilation(self, d: Poly):
-        return LinearPhase(self.alpha.mul_poly(d))
-
     def descriptor(self) -> str:
         return f"linear:{self.alpha.format()}"
 
@@ -153,17 +152,6 @@ class QuadraticPhase(Phase):
         T = ctx.TRACE[ctx.MUL[ctx.MUL[qp.r][Mx]]].ravel()  # y -> Tr(r M'_ij y) at ij q + y
         XX = (X[:, :, None] * q + X[:, None, :]).reshape(len(codes), k)  # MUL index of x'_i x'_j
         return T[ctx.MUL.ravel()[XX] + np.arange(0, k * q, q)].sum(axis=1) % ctx.p
-
-    def compose_dilation(self, d: Poly):
-        from .quadform import dilation_matrix, fq_matmul
-
-        ctx = self.ctx
-        n = self.qp.n
-        k = max(int(d.deg), 0) if not d.is_zero() else 0
-        L = dilation_matrix(ctx, d, n, k)
-        M2 = fq_matmul(ctx, L.T, fq_matmul(ctx, self.qp.M, L))
-        b2 = fq_matmul(ctx, self.qp.b[None, :], L)[0]
-        return QuadraticPhase(QuadPhase(ctx, M2, b2, self.qp.c, self.qp.r))
 
     def descriptor(self) -> str:
         return f"quadratic:{self.qp.describe()}"
@@ -223,20 +211,12 @@ class HankelPhase(Phase):
                     acc += ctx.TRACE[ctx.MUL[b]][X[:, i]]
         return acc % p
 
-    def compose_dilation(self, d: Poly):
-        d2 = d * d
-        beta = None if self.beta is None else self.beta.mul_poly(d)
-        return HankelPhase(self.alpha.mul_poly(d2), beta)
-
     def descriptor(self) -> str:
         bfmt = self.beta.format() if self.beta is not None else "0"
         return f"hankel:{self.alpha.format()}|{bfmt}"
 
 
 # -- compiled forms and the histogram kernel ---------------------------------------
-
-
-_PROBES: dict[tuple, tuple] = {}
 
 
 def _digit_rows(codes: np.ndarray, units: np.ndarray, p: int) -> np.ndarray:
@@ -247,54 +227,46 @@ def _digit_rows(codes: np.ndarray, units: np.ndarray, p: int) -> np.ndarray:
     return F[:, :-1] - p * F[:, 1:]
 
 
-def _probes(p: int, N: int) -> tuple:
-    """What a compile on N digits over F_p checks: the codes 0, p^k, and
-    p^k + p^l for all (k, l) row-major (the diagonal is 2 p^k), followed by
-    the repunits v (p^N - 1)/(p - 1) and 16 hashed codes; the powers
-    p^0..p^N as floats; and k mod p for every k up to the largest unreduced
-    exponent PhaseForm.hist can produce, plus p."""
-    key = (p, N)
-    if key not in _PROBES:
-        P = p**N
-        units = p ** np.arange(N, dtype=np.int64)
-        check = [v * ((P - 1) // (p - 1)) for v in range(1, p)]
-        check += [(k * 0x9E3779B97F4A7C15 + 0x632BE5AB) % P for k in range(16)]
-        codes = np.concatenate(([0], units, (units[:, None] + units).ravel(), check))
-        funits = float(p) ** np.arange(N + 1)
-        fold = np.arange(N * (p - 1) ** 2 + 3 * p) % p
-        _PROBES[key] = (codes.astype(np.int64), funits, fold)
-    return _PROBES[key]
-
-
 class PhaseForm:
-    """The exponent of a phase on ncoords coefficients as an F_p quadratic
-    form E(x) = x^T A x + b.x + c, A upper triangular, in the N = s ncoords
-    base-p digits x of a code (digits of p^N and above are ignored, as the
-    phases' own exponents ignore them).  A, b and c hold residues in [0, p)
-    as float64, so the kernel's matrix products are exact (see phase_hist)."""
+    """A stack of B quadratic forms E_i(x) = x^T A_i x + b_i.x + c over F_p,
+    A_i upper triangular, in the N base-p digits x of a code (digits of p^N
+    and above are ignored, as the phases' own exponents ignore them).  A
+    compiled phase is a stack of one on N = s ncoords digits, and `dilated`
+    stacks its compositions with a block of dilations.  A and b hold
+    residues in [0, p) as float64, so the kernel's matrix products are
+    exact (see phase_hist)."""
 
-    def __init__(self, p, A, b, c, units, fold):
-        self.p, self.N = p, len(b)
-        self.A, self.b, self.c = A, b, c
-        self.units = units  # p^0, ..., p^N as floats
-        self.fold = fold  # fold[k] = (k + c) mod p
+    def __init__(self, ctx: FieldCtx, A: np.ndarray, b: np.ndarray, c: int):
+        """The forms of integer A of shape (B, N, N), b of shape (B, N) and
+        c, made upper triangular mod p: A_kl + A_lk above the diagonal, and
+        at p = 2, where y^2 = y, the diagonal folded into b.  That form of
+        a quadratic function on F_p^N is unique."""
+        p = ctx.p
+        diag = np.diagonal(A, axis1=1, axis2=2)
+        if p == 2:
+            b, diag = b + diag, 0 * diag
+        A = np.triu(A + A.swapaxes(1, 2), 1) + diag[:, :, None] * np.eye(A.shape[-1])
+        self.ctx, self.p, self.N = ctx, p, b.shape[-1]
+        self.A, self.b, self.c = A % p, (b % p).astype(np.float64), c
+        self.units = float(p) ** np.arange(self.N + 1)
 
     @classmethod
     def compile(cls, phase: Phase, ncoords: int) -> "PhaseForm":
-        """The digit_form of phase.quad_data(ncoords), made upper triangular,
-        then checked against phase.exponents at every code of _probes.  The values at the digit
-        vectors 0, e_k and e_k + e_l determine a quadratic form, so the check
-        is exact whenever the exponents are one; the repunit and hashed
-        codes catch exponents that are not.  A mismatch raises
+        """The digit_form of phase.quad_data(ncoords) as a stack of one,
+        checked against phase.exponents at the codes 0, p^k and p^k + p^l
+        for all (k, l) (the diagonal is 2 p^k), the repunits
+        v (p^N - 1)/(p - 1) and 16 hashed codes.  The values at the digit
+        vectors 0, e_k and e_k + e_l determine a quadratic form, so the
+        check is exact whenever the exponents are one; the repunit and
+        hashed codes catch exponents that are not.  A mismatch raises
         IdentityCheckError with the first code that differs."""
-        p = phase.ctx.p
         A, b, c = digit_form(phase.ctx, *phase.quad_data(ncoords))
-        diag = np.diagonal(A)
-        if p == 2:  # y^2 = y on F_2: the diagonal folds into b
-            b, diag = b + diag, 0 * diag
-        A = np.triu(A + A.T, 1) + np.diag(diag)
-        codes, units, fold = _probes(p, len(b))
-        form = cls(p, (A % p).astype(np.float64), (b % p).astype(np.float64), float(c), units, fold[c:])
+        form = cls(phase.ctx, A[None], b[None], c)
+        p, P = form.p, form.p**form.N
+        units = p ** np.arange(form.N, dtype=np.int64)
+        check = [v * ((P - 1) // (p - 1)) for v in range(1, p)]
+        check += [(k * 0x9E3779B97F4A7C15 + 0x632BE5AB) % P for k in range(16)]
+        codes = np.concatenate(([0], units, (units[:, None] + units).ravel(), check)).astype(np.int64)
         got, want = form.exponents(codes), phase.exponents(ncoords, codes)
         if (got != want).any():
             j = int(np.nonzero(got != want)[0][0])
@@ -305,20 +277,40 @@ class PhaseForm:
             )
         return form
 
+    def dilated(self, d_digits: np.ndarray, m: int) -> "PhaseForm":
+        """The forms of w -> E(d_i w) on m coordinates, for a compiled form
+        (a stack of one) on n coordinates and the F_q coefficients d_i of
+        the rows of d_digits, deg d_i <= n - m.  The digits of d w are
+        L_d y for the digits y of w, with block (k, j) of L_d the
+        multiplication matrix MULMAT[d_(k-j)] (zero for k < j), so E(d w)
+        has the data (L_d^T A L_d, b L_d, c)."""
+        ctx, s = self.ctx, self.ctx.s
+        n = self.N // s
+        lag = np.subtract.outer(np.arange(n), np.arange(m))  # k - j
+        coeffs = np.zeros((len(d_digits), n + 1), dtype=np.intp)  # column n stays 0, for k < j
+        coeffs[:, : d_digits.shape[1]] = d_digits
+        L = ctx.MULMAT[coeffs[:, np.where(lag >= 0, lag, n)]]  # (B, k, j, digit of d w, digit of w)
+        L = L.transpose(0, 1, 3, 2, 4).reshape(len(d_digits), self.N, s * m)
+        return PhaseForm(ctx, L.swapaxes(1, 2) @ self.A[0] @ L, self.b[0] @ L, self.c)
+
     def _quad(self, Y: np.ndarray):
-        """A y and y^T A y + b.y for each digit row y of Y."""
-        G = Y @ self.A.T
-        return G, np.einsum("ij,ij->i", G, Y) + Y @ self.b
+        """A_i y and y^T A_i y + b_i.y for each form i and digit row y of Y."""
+        G = Y @ self.A.swapaxes(1, 2)
+        return G, np.einsum("bij,ij->bi", G, Y) + self.b @ Y.T
 
     def exponents(self, codes: np.ndarray) -> np.ndarray:
-        """E at each of the given codes, as residues in [0, p)."""
+        """E at each of the given codes, as residues in [0, p), for a
+        compiled form (a stack of one)."""
         Y = _digit_rows(codes.astype(np.float64), self.units, self.p)
-        return ((self._quad(Y)[1] + self.c) % self.p).astype(np.intp)
+        return ((self._quad(Y)[1][0] + self.c) % self.p).astype(np.intp)
 
-    def hist(self, lo: int, hi: int, weights: np.ndarray | None) -> np.ndarray:
-        """Exponent histogram over the codes [lo, hi), weighted by
-        weights[lo:hi] when given, as float64 holding exact integers."""
-        p, N = self.p, self.N
+    def hist(self, lo: int, hi: int, weights: np.ndarray | None, slots: np.ndarray | None = None,
+             S: int = 1) -> np.ndarray:
+        """(B, S, p) exponent histograms over the codes [lo, hi), weighted by
+        weights[lo:hi] when given, as float64 holding exact integers: [i, k]
+        counts the codes lo + j with slots[j] = k (every code at k = 0 when
+        slots is None) at the exponents of form i."""
+        p, N, B = self.p, self.N, len(self.A)
         K = 0  # low digits: p^K is about sqrt(hi - lo)
         while K < N and p ** (2 * K) < hi - lo:
             K += 1
@@ -327,21 +319,25 @@ class PhaseForm:
         # low codes 0..nL-1 carry only digits < K, high codes h p^K only
         # digits >= K, so A y of a high row, cut to its first K entries,
         # is C y_H; the constant is added when the bins are folded
-        codes = np.concatenate(
-            (np.arange(nL, dtype=np.float64), np.arange(h0 * nL, h1 * nL, nL, dtype=np.float64))
-        )
+        codes = np.concatenate((np.arange(nL), np.arange(h0 * nL, h1 * nL, nL))).astype(np.float64)
         Y = _digit_rows(codes, self.units, p)
         G, v = self._quad(Y)
-        R = np.ones((len(codes), K + 2))
-        R[:nL, :K] = Y[:nL, :K]
-        R[nL:, :K] = G[nL:, :K]
-        R[:nL, K], R[nL:, K + 1] = v[:nL], v[nL:]
+        R = np.ones((B, len(codes), K + 2))
+        R[:, :nL, :K] = Y[:nL, :K]
+        R[:, nL:, :K] = G[:, nL:, :K]
+        R[:, :nL, K], R[:, nL:, K + 1] = v[:, :nL], v[:, nL:]
         R -= p * np.floor(R / p)  # mod p, exact on these integers
-        E = R[nL:] @ R[:nL].T  # E - c, unreduced
-        exps = E.ravel()[lo - h0 * nL : hi - h0 * nL].astype(np.intp)
+        M = K * (p - 1) ** 2 + 2 * p - 1
+        E = R[:, nL:] @ R[:, :nL].swapaxes(1, 2)  # E - c, unreduced, below M
+        exps = E.reshape(B, -1)[:, lo - h0 * nL : hi - h0 * nL].astype(np.intp)
         w = None if weights is None else weights[lo:hi]
-        h = np.bincount(exps, weights=w)
-        return np.bincount(self.fold[: len(h)], weights=h, minlength=p)
+        fold = (np.arange(M) + self.c) % p
+        if B == 1 and slots is None:
+            return np.bincount(fold, np.bincount(exps[0], w, M), p)[None, None]
+        # exponent e of form i in slot k: bin (i S + k) M + e
+        exps += M * (S * np.arange(B)[:, None] + (0 if slots is None else slots))
+        h = np.bincount(exps.ravel(), None if w is None else np.tile(w, B), B * S * M)
+        return h.reshape(B, S, M) @ np.eye(p)[fold]
 
 
 def phase_hist(
@@ -372,18 +368,20 @@ def phase_hist(
     Weighted bincounts add float64 partial sums of magnitude at most
     hi - lo < 2^53, so they are exact too."""
     form = phase.form(ncoords)
-    hists = _map_spans(lambda a, b: form.hist(a, b, weights), lo, hi, workers)
-    return np.rint(sum(hists, np.zeros(ctx.p))).astype(np.int64)
+    return _sum_spans(lambda a, b: form.hist(a, b, weights)[0, 0], lo, hi, workers, ctx.p)
 
 
-def _map_spans(fn, lo: int, hi: int, workers: int) -> list:
-    """fn(a, b) for each span [a, b) of at most CHUNK codes of [lo, hi), in
-    order, mapped over a thread pool when workers > 1."""
+def _sum_spans(fn, lo: int, hi: int, workers: int, shape) -> np.ndarray:
+    """The sum of fn(a, b) over the spans [a, b) of at most CHUNK codes of
+    [lo, hi), taken in order from zeros of the given shape and rounded to
+    int64; the spans are mapped over a thread pool when workers > 1."""
     spans = [(a, min(a + CHUNK, hi)) for a in range(lo, hi, CHUNK)]
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda ab: fn(*ab), spans))
-    return [fn(a, b) for a, b in spans]
+            parts = list(pool.map(lambda ab: fn(*ab), spans))
+    else:
+        parts = [fn(a, b) for a, b in spans]
+    return np.rint(sum(parts, np.zeros(shape))).astype(np.int64)
 
 
 def _dilation_hists(ctx: FieldCtx, form: PhaseForm, d_codes: np.ndarray, dd: int, lo: int,
@@ -393,31 +391,25 @@ def _dilation_hists(ctx: FieldCtx, form: PhaseForm, d_codes: np.ndarray, dd: int
     by weights[w] (1 when None) at the exponent of d_i w, for monic codes
     d_i of degree dd < n and a phase's compiled form on n coordinates; S is
     1 + the number of base-q digits of hi - 1.  Summed over s, row i is
-    phase_hist of phase.compose_dilation(d_i) on n - dd coordinates, the
-    route the tests compare against.  The codes of d w come from one
-    sieve._Products of the d_i, built before the spans, and each of its
-    blocks is one bincount on (row of d, s, exponent); spans of CHUNK
-    w-codes are mapped over threads as in phase_hist."""
+    phase_hist of the phase with the dilation w -> d_i w composed in, on
+    n - dd coordinates, the route the tests compare against.  Each span of
+    at most CHUNK w-codes is histogrammed by PhaseForm.hist on the dilated
+    forms of blocks of about CHUNK / span d, so that a block holds about
+    CHUNK exponents; spans are mapped over threads as in phase_hist."""
     p, S = ctx.p, 1 + _sieve._ndigits(ctx.q, max(hi - 1, 0))
     powers = ctx.q ** np.arange(S - 1)  # deg w = k from w = q^k on
-    # PhaseForm.exponents expands each product into N + 1 float64 digits,
-    # so a block holds CHUNK_ENTRIES digits rather than products
-    entries = max(1, _sieve.CHUNK_ENTRIES // (form.N + 1))
-    prod = _sieve._Products(ctx, _sieve.codes_to_digits(ctx, d_codes, dd + 1), hi, entries)
+    digits = _sieve.codes_to_digits(ctx, d_codes, dd + 1)
+    m = form.N // ctx.s - dd
 
     def span(a, b):
-        out = np.zeros(len(d_codes) * S * p)
-        for i0, c0, words in prod.blocks(a, b):
-            rows, cols = words.shape
-            slots = np.searchsorted(powers, np.arange(c0, c0 + cols), side="right")
-            bins = p * np.add.outer(S * np.arange(rows), slots).ravel()
-            bins += form.exponents(prod.codes(words).ravel())
-            w = None if weights is None else np.tile(weights[c0 : c0 + cols], rows)
-            out[i0 * S * p : (i0 + rows) * S * p] += np.bincount(bins, weights=w, minlength=rows * S * p)
+        slots = np.searchsorted(powers, np.arange(a, b), side="right")
+        step = max(1, CHUNK // (b - a))
+        out = np.zeros((len(digits), S, p))
+        for i in range(0, len(digits), step):
+            out[i : i + step] = form.dilated(digits[i : i + step], m).hist(a, b, weights, slots, S)
         return out
 
-    hists = _map_spans(span, lo, hi, workers)
-    return np.rint(sum(hists, np.zeros(len(d_codes) * S * p))).astype(np.int64).reshape(-1, S, p)
+    return _sum_spans(span, lo, hi, workers, (len(d_codes), S, p))
 
 
 def hist_to_complex(ctx: FieldCtx, hist: np.ndarray) -> complex:

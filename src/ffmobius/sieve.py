@@ -109,8 +109,8 @@ def digits_to_codes(ctx: FieldCtx, digits: np.ndarray) -> np.ndarray:
 
 # Cap on the products that one vectorised step holds: a block of rows times
 # a span of codes or a low table of _Products.  It bounds the temporaries of
-# the sieve, the product tables, the dilation histograms and the rank
-# stacks of rank_stats whatever the degrees involved.
+# the sieve, the product tables and the rank stacks of rank_stats whatever
+# the degrees involved.
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -125,7 +125,7 @@ def _ndigits(q: int, x: int) -> int:
 class _Products:
     """Codes of a_i c for the rows a_i of a block of polynomials and every
     code c in [0, stop), produced in blocks by blocks(lo, hi) of at most
-    `entries` (default CHUNK_ENTRIES) products.
+    CHUNK_ENTRIES products.
 
     A code is the base-p number of all F_p digits of its polynomial, so a
     product is carry free once each F_p digit sits in its own b-bit lane of
@@ -139,14 +139,13 @@ class _Products:
     A code past q^K is h q^K + j, and its word is the table's word at j
     plus the word of a_i h shifted up K digits, itself taken from the
     table the same way; K is the largest with (rows of a block) q^K <=
-    entries.  codes() folds words back into codes in ceil(log2 N)
+    CHUNK_ENTRIES.  codes() folds words back into codes in ceil(log2 N)
     pairwise folds, N the number of F_p digits of the product.  Products
     with more digits than the 64 // b lanes raise PrecisionExceeded.
     """
 
-    def __init__(self, ctx: FieldCtx, a: np.ndarray, stop: int, entries: int | None = None):
-        p, s, q = ctx.p, ctx.s, ctx.q
-        entries = CHUNK_ENTRIES if entries is None else entries
+    def __init__(self, ctx: FieldCtx, a: np.ndarray, stop: int):
+        p, s, q, entries = ctx.p, ctx.s, ctx.q, CHUNK_ENTRIES
         self.ctx, self.a = ctx, np.asarray(a)
         b = 1
         while p > 2 and not (2 * p - 2 < 2**b and p - 2 < 2 ** (b - 1)):
@@ -212,7 +211,7 @@ class _Products:
     def blocks(self, lo: int, hi: int):
         """Yield (i0, c0, words): words[i, j] is the product of a[i0 + i]
         and the code c0 + j, for lo <= c0 + j < hi; a block holds at most
-        max(entries, q) products.  Lane words are read-only, and
+        max(CHUNK_ENTRIES, q) products.  Lane words are read-only, and
         codes() turns them into codes."""
         for k, table in enumerate(self._tables):
             for c0, words in self._words(table, lo, hi):

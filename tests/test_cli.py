@@ -577,9 +577,17 @@ def test_config_unlisted_choice_names_the_key(args, key, value, tmp_path, capsys
     (["hankel-corr", "--n", "3", "--alpha=-1:1,0,1,1"], "--alpha -1:1,0,1,1 has precision 4, needs >= 5"),
     (["hankel-corr", "--n", "3", "--alpha=-1:1,0,1,1,0", "--beta=-1:1,1"],
      "--beta -1:1,1 has precision 2, needs >= 3"),
+    (["quad-corr", "--field", "2", "--n", "3"], "--field 2: quad-corr requires odd characteristic (p > 2)"),
+    (["gauss-sums", "--field", "2^2", "--n", "2"],
+     "--field 2^2: gauss-sums requires odd characteristic (p > 2)"),
+    (["exponent-sweep", "--field", "2", "--experiment", "quadratic", "--nmin", "2", "--nmax", "3"],
+     "--field 2: --experiment quadratic requires odd characteristic (p > 2)"),
+    (["isotropic", "--field", "3^2", "--n", "3", "--r", "1"],
+     "--field 3^2: isotropic counting is over prime fields"),
 ], ids=["budget-0", "alpha-text", "alpha-code", "beta-text", "Q-text", "Q-code", "Q-zero", "hayes-Q",
         "rh-Q", "euler-Q", "logderiv-Q", "rank-samples-0", "rank-samples-budget", "rank-k-overflow",
-        "vaughan-uv", "vaughan-n-0", "linear-A-prec", "hankel-alpha-prec", "hankel-beta-prec"])
+        "vaughan-uv", "vaughan-n-0", "linear-A-prec", "hankel-alpha-prec", "hankel-beta-prec",
+        "quad-field", "gauss-field", "sweep-quadratic-field", "isotropic-field"])
 def test_bad_value_names_the_flag(args, message, capsys):
     import ffmobius.cli as cli
 

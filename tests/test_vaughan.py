@@ -18,7 +18,7 @@ from ffmobius.correlations import (
     vaughan_decompose,
     vaughan_pointwise_audit,
 )
-from ffmobius.quadform import QuadPhase
+from ffmobius.quadform import QuadPhase, dilation_matrix, fq_matmul
 from test_correlations import _kernel_phases
 
 
@@ -313,13 +313,60 @@ def _phases(ctx, n, seed):
     return _kernel_phases(ctx, n, np.random.default_rng(seed))
 
 
+def compose_dilation(phase, d):
+    """The phase w -> Phi(d w), the dilation composed into the series or
+    the quadratic form: the oracle for the dilated forms of the kernel."""
+    if isinstance(phase, LinearPhase):
+        return LinearPhase(phase.alpha.mul_poly(d))
+    if isinstance(phase, QuadraticPhase):
+        ctx = phase.ctx
+        n = phase.qp.n
+        k = max(int(d.deg), 0) if not d.is_zero() else 0
+        L = dilation_matrix(ctx, d, n, k)
+        M2 = fq_matmul(ctx, L.T, fq_matmul(ctx, phase.qp.M, L))
+        b2 = fq_matmul(ctx, phase.qp.b[None, :], L)[0]
+        return QuadraticPhase(QuadPhase(ctx, M2, b2, phase.qp.c, phase.qp.r))
+    d2 = d * d
+    beta = None if phase.beta is None else phase.beta.mul_poly(d)
+    return HankelPhase(phase.alpha.mul_poly(d2), beta)
+
+
 def _composed_hists(ctx, phase, d_codes, m, lo, hi, weights):
     """phase_hist of each dilated phase, the dilation composed into the
     series or the quadratic form."""
     return np.array(
-        [phase_hist(ctx, phase.compose_dilation(Poly.from_code(ctx, int(d))), m, lo, hi, weights)
+        [phase_hist(ctx, compose_dilation(phase, Poly.from_code(ctx, int(d))), m, lo, hi, weights)
          for d in d_codes]
     ).reshape(-1, ctx.p)
+
+
+@pytest.mark.parametrize("p,s,n", [(2, 1, 6), (3, 1, 5), (2, 2, 4), (5, 1, 3), (3, 2, 3)])
+def test_dilated_forms_are_the_forms_of_composed_phases(p, s, n):
+    # the upper triangular form (the diagonal folded into b at p = 2) of a
+    # quadratic function is unique, so the two routes agree entry by entry
+    ctx = get_field(p, s)
+    q = ctx.q
+    rng = np.random.default_rng(20 * p + s)
+    for phase in _phases(ctx, n, 3 * p + s):
+        form = phase.form(n)
+        for dd in range(n):
+            d_codes = q**dd + np.sort(rng.choice(q**dd, size=min(q**dd, 5), replace=False))
+            stack = form.dilated(_sieve.codes_to_digits(ctx, d_codes, dd + 1), n - dd)
+            assert stack.A.shape == (len(d_codes), s * (n - dd), s * (n - dd))
+            assert np.array_equal(stack.A, np.triu(stack.A, 1 if p == 2 else 0))
+            for i, d in enumerate(d_codes):
+                want = compose_dilation(phase, Poly.from_code(ctx, int(d))).form(n - dd)
+                for got, ref in ((stack.A[i], want.A[0]), (stack.b[i], want.b[0]), (stack.c, want.c)):
+                    assert np.array_equal(got, ref), (phase.descriptor(), dd, int(d))
+
+
+def test_dilation_hists_of_no_d_or_no_w_are_zero(F3):
+    form = _phases(F3, 4, 1)[0].form(4)
+    got = correlations._dilation_hists(F3, form, np.zeros(0, dtype=np.int64), 1, 0, 27)
+    assert got.shape == (0, 4, 3)
+    for lo, S in ((0, 2), (5, 3)):  # S = 1 + the number of digits of max(hi - 1, 0)
+        got = correlations._dilation_hists(F3, form, np.arange(3, 6), 1, lo, lo)
+        assert got.shape == (3, S, 3) and got.dtype == np.int64 and not got.any()
 
 
 @pytest.mark.parametrize("p,s,n", [(2, 1, 7), (3, 1, 5), (2, 2, 4), (5, 1, 3), (3, 2, 3)])
@@ -346,15 +393,16 @@ def test_dilation_hists_match_composed_phases(p, s, n, monkeypatch):
                         hi_k = max(lo_k, min(hi, edges[k + 1]))
                         want = _composed_hists(ctx, phase, d_codes, m, lo_k, hi_k, weights)
                         assert np.array_equal(got[:, k], want), (phase.descriptor(), dd, lo, hi, k)
-        # product blocks of one or two products, spans of five w-codes,
-        # serial and threaded
-        monkeypatch.setattr(_sieve, "CHUNK_ENTRIES", 7)
-        monkeypatch.setattr(correlations, "CHUNK", 5)
+        # spans of five w-codes with blocks of one d (and of several d on a
+        # short last span), and one span with blocks of two d, serial and
+        # threaded
         d_codes, m = np.arange(q, 2 * q), n - 1
         want = _composed_hists(ctx, phase, d_codes, m, 0, q**m, mu)
-        for workers in (1, 2):
-            got = correlations._dilation_hists(ctx, form, d_codes, 1, 0, q**m, mu, workers)
-            assert np.array_equal(got.sum(axis=1), want), (phase.descriptor(), workers)
+        for chunk in (5, 2 * q**m):
+            monkeypatch.setattr(correlations, "CHUNK", chunk)
+            for workers in (1, 2):
+                got = correlations._dilation_hists(ctx, form, d_codes, 1, 0, q**m, mu, workers)
+                assert np.array_equal(got.sum(axis=1), want), (phase.descriptor(), chunk, workers)
         monkeypatch.undo()
 
 
@@ -370,13 +418,8 @@ def test_one_rhs_table_and_one_form_per_decomposition(F3, monkeypatch):
         compiles.append(ncoords)
         return compile_(phase, ncoords)
 
-    def composed(self, d):
-        raise AssertionError("the drivers must not compose dilations")
-
     monkeypatch.setattr(correlations, "vaughan_rhs_arrays", counted_rhs)
     monkeypatch.setattr(correlations.PhaseForm, "compile", classmethod(counted_compile))
-    for cls in (LinearPhase, HankelPhase, QuadraticPhase):
-        monkeypatch.setattr(cls, "compose_dilation", composed)
     for phase in _phases(F3, 6, 5):
         rhs_calls.clear(), compiles.clear()
         vaughan_decompose(F3, 6, phase, 1, 2)
@@ -391,8 +434,8 @@ def test_one_rhs_table_and_one_form_per_decomposition(F3, monkeypatch):
 # (p, s, n, u, v) -> first 16 hex digits of the sha256 of the newline-joined
 # reprs of vaughan_decompose(u, v) and type_one_mean_square (every k) for
 # each phase of _phases(ctx, n, 1000 p + 100 s + 10 n + u + v), recorded
-# from the route that composed one dilated phase per d.  The product-code
-# route must reproduce every float bit for bit.
+# from the route that composed one dilated phase per d.  The stacked
+# dilated forms must reproduce every float bit for bit.
 VAUGHAN_DIGESTS = {
     (2, 1, 9, 1, 2): "2502bd76e9d0a5d7",
     (2, 1, 10, 2, 2): "b34b7637ae694ff6",
