@@ -4,8 +4,8 @@ serialization.  Owns no mathematics.
 Exit codes: 0 success, 1 an exact identity was violated (the counterexample
 is printed), 2 usage, budget, or precision problems.  Every output file
 starts with a comment line echoing the fully resolved configuration, and
-rerunning with the same seed gives byte-identical output regardless of the
-worker count.
+rerunning with the same seed gives byte-identical output.  Runs are
+single-threaded.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import csv
 import functools
 import io
 import json
-import os
 import re
 import sys
 
@@ -71,7 +70,7 @@ FLAGS = {
     "seed": (int, 0, 0),
     "out": (str, None, None),
     "format": (_choice("csv", "json"), "csv", None),
-    "workers": (int, os.cpu_count() or 1, 1),
+    "workers": (int, 1, 1),  # accepted for compatibility and ignored
     "config": (str, None, None),
     "lmax": (int, 10, 0),
     "nmax": (int, 10, 0),
@@ -392,7 +391,7 @@ def run_logderiv_check(ctx, cfg, rng):
 def run_linear_corr(ctx, cfg, rng):
     n = cfg["n"]
     alpha = _parse_alpha(ctx, cfg["alpha"], rng, n + 1, "--alpha", n + (cfg["domain"] == "A"))
-    rep = linear_corr(ctx, n, alpha, cfg["domain"], cfg["budget"], cfg["workers"])
+    rep = linear_corr(ctx, n, alpha, cfg["domain"], cfg["budget"])
     s = rep.sum(ctx)
     rows = [
         (
@@ -417,7 +416,7 @@ def run_quad_corr(ctx, cfg, rng):
     rows = []
     for trial in range(cfg["trials"]):
         qp = _random_quad_phase(ctx, n, rng())
-        rep = quad_corr(ctx, n, qp, cfg["budget"], cfg["workers"])
+        rep = quad_corr(ctx, n, qp, cfg["budget"])
         s = rep.sum(ctx)
         rows.append((trial, n, rep.phase, s.real, s.imag, rep.abs(ctx), rep.empirical_exponent(ctx)))
     return ["trial", "n", "phase", "re_sum", "im_sum", "abs", "empirical_exponent"], rows
@@ -429,7 +428,7 @@ def run_hankel_corr(ctx, cfg, rng):
     for trial in range(cfg["trials"]):
         alpha = _parse_alpha(ctx, cfg["alpha"], rng, 2 * n + 2, "--alpha", 2 * n - 1)
         beta = _parse_alpha(ctx, cfg["beta"], rng, n + 1, "--beta", n)
-        rep = hankel_corr(ctx, n, alpha, beta, cfg["budget"], cfg["workers"])
+        rep = hankel_corr(ctx, n, alpha, beta, cfg["budget"])
         s = rep.sum(ctx)
         rows.append((trial, n, rep.phase, s.real, s.imag, rep.abs(ctx), rep.empirical_exponent(ctx)))
     return ["trial", "n", "phase", "re_sum", "im_sum", "abs", "empirical_exponent"], rows
@@ -443,7 +442,7 @@ def run_vaughan_audit(ctx, cfg, rng):
     if u + v >= n:
         raise UsageError(f"--u {u} + --v {v} must be < --n {n}")
     phase = LinearPhase(sample_torus(ctx, rng(), n + 2))
-    rep = vaughan_decompose(ctx, n, phase, u, v, cfg["budget"], cfg["workers"])
+    rep = vaughan_decompose(ctx, n, phase, u, v, cfg["budget"])
     rows = [
         ("n", n),
         ("u", rep.u),
@@ -459,7 +458,7 @@ def run_vaughan_audit(ctx, cfg, rng):
         ("pointwise_failures", ";".join(p.format() for p in rep.pointwise_failures)),
         ("coefficient_bound_ok", fmt(rep.coefficient_bound_ok)),
     ]
-    for k, ms in type_one_mean_square(ctx, n, phase, rep.u + rep.v, cfg["budget"], cfg["workers"]):
+    for k, ms in type_one_mean_square(ctx, n, phase, rep.u + rep.v, cfg["budget"]):
         rows.append((f"t1_mean_square_k{k}", fmt(ms)))
     return ["item", "value"], rows
 
@@ -517,9 +516,7 @@ def run_exponent_sweep(ctx, cfg, rng):
     if ctx.p == 2 and cfg["experiment"] == "quadratic":
         raise UsageError(f"--field {cfg['field']}: --experiment quadratic requires odd characteristic (p > 2)")
     ns = range(cfg["nmin"], cfg["nmax"] + 1)
-    rows = exponent_sweep(
-        ctx, cfg["experiment"], ns, cfg["samples"], cfg["seed"], cfg["budget"], cfg["workers"]
-    )
+    rows = exponent_sweep(ctx, cfg["experiment"], ns, cfg["samples"], cfg["seed"], cfg["budget"])
     return ["n", "samples", "max_abs", "mean_abs", "max_exponent"], rows
 
 

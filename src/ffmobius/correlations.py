@@ -29,7 +29,6 @@ linear_corr exactly and without a second kernel pass.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import log
 
@@ -351,7 +350,8 @@ def phase_hist(
 ) -> np.ndarray:
     """Signed exponent histogram sum_{code in [lo, hi)} w(code) at the
     phase exponent of code.  weights is indexed by code; None means
-    weight 1.  Deterministic for any worker count.
+    weight 1.  workers is accepted and ignored, until the benchmark
+    change of ROADMAP item 8 stops binding it.
 
     The phase is compiled once per ncoords into its F_p quadratic form
     (PhaseForm).  Each chunk of at most CHUNK codes is split at the K-th
@@ -368,24 +368,21 @@ def phase_hist(
     Weighted bincounts add float64 partial sums of magnitude at most
     hi - lo < 2^53, so they are exact too."""
     form = phase.form(ncoords)
-    return _sum_spans(lambda a, b: form.hist(a, b, weights)[0, 0], lo, hi, workers, ctx.p)
+    return _sum_spans(lambda a, b: form.hist(a, b, weights)[0, 0], lo, hi, ctx.p)
 
 
-def _sum_spans(fn, lo: int, hi: int, workers: int, shape) -> np.ndarray:
+def _sum_spans(fn, lo: int, hi: int, shape) -> np.ndarray:
     """The sum of fn(a, b) over the spans [a, b) of at most CHUNK codes of
     [lo, hi), taken in order from zeros of the given shape and rounded to
-    int64; the spans are mapped over a thread pool when workers > 1."""
-    spans = [(a, min(a + CHUNK, hi)) for a in range(lo, hi, CHUNK)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ab: fn(*ab), spans))
-    else:
-        parts = [fn(a, b) for a, b in spans]
-    return np.rint(sum(parts, np.zeros(shape))).astype(np.int64)
+    int64."""
+    total = np.zeros(shape)
+    for a in range(lo, hi, CHUNK):
+        total += fn(a, min(a + CHUNK, hi))
+    return np.rint(total).astype(np.int64)
 
 
 def _dilation_hists(ctx: FieldCtx, form: PhaseForm, d_codes: np.ndarray, dd: int, lo: int,
-                    hi: int, weights: np.ndarray | None = None, workers: int = 1) -> np.ndarray:
+                    hi: int, weights: np.ndarray | None = None) -> np.ndarray:
     """(len(d_codes), S, p) exponent histograms: [i, s] is over the w in
     [lo, hi) of G_(n - dd) with s = 1 + deg w (s = 0 for w = 0), weighted
     by weights[w] (1 when None) at the exponent of d_i w, for monic codes
@@ -395,7 +392,7 @@ def _dilation_hists(ctx: FieldCtx, form: PhaseForm, d_codes: np.ndarray, dd: int
     n - dd coordinates, the route the tests compare against.  Each span of
     at most CHUNK w-codes is histogrammed by PhaseForm.hist on the dilated
     forms of blocks of about CHUNK / span d, so that a block holds about
-    CHUNK exponents; spans are mapped over threads as in phase_hist."""
+    CHUNK exponents; the spans are summed in order as in phase_hist."""
     p, S = ctx.p, 1 + _sieve._ndigits(ctx.q, max(hi - 1, 0))
     powers = ctx.q ** np.arange(S - 1)  # deg w = k from w = q^k on
     digits = _sieve.codes_to_digits(ctx, d_codes, dd + 1)
@@ -409,7 +406,7 @@ def _dilation_hists(ctx: FieldCtx, form: PhaseForm, d_codes: np.ndarray, dd: int
             out[i : i + step] = form.dilated(digits[i : i + step], m).hist(a, b, weights, slots, S)
         return out
 
-    return _sum_spans(span, lo, hi, workers, (len(d_codes), S, p))
+    return _sum_spans(span, lo, hi, (len(d_codes), S, p))
 
 
 def hist_to_complex(ctx: FieldCtx, hist: np.ndarray) -> complex:
@@ -464,7 +461,6 @@ def linear_corr(
     alpha: LaurentSeries,
     domain: str = "G",
     budget: int = 1_200_000,
-    workers: int = 1,
 ) -> CorrelationReport:
     """sum of mu(f) e(alpha f) over A_n or G_n."""
     q = ctx.q
@@ -473,10 +469,10 @@ def linear_corr(
     phase = LinearPhase(alpha)
     if domain == "G":
         mu = _sieve.mobius_over_g(ctx, n)
-        hist = phase_hist(ctx, phase, n, 0, q**n, mu, workers)
+        hist = phase_hist(ctx, phase, n, 0, q**n, mu)
     elif domain == "A":
         sieve = _sieve.get_sieve(ctx, max(n, 1))
-        hist = phase_hist(ctx, phase, n + 1, q**n, 2 * q**n, sieve.mu, workers)
+        hist = phase_hist(ctx, phase, n + 1, q**n, 2 * q**n, sieve.mu)
     else:
         raise ValueError("domain must be 'A' or 'G'")
     return _report(ctx, n, f"linear/{domain}", phase, hist)
@@ -487,7 +483,6 @@ def quad_corr(
     n: int,
     qp: QuadPhase,
     budget: int = 1_200_000,
-    workers: int = 1,
 ) -> CorrelationReport:
     """sum of mu(f) chi_r(Q(f)) over G_n; odd characteristic only."""
     if ctx.p == 2:
@@ -501,7 +496,7 @@ def quad_corr(
         raise ValueError("phase dimension must equal n")
     phase = QuadraticPhase(qp)
     mu = _sieve.mobius_over_g(ctx, n)
-    hist = phase_hist(ctx, phase, n, 0, q**n, mu, workers)
+    hist = phase_hist(ctx, phase, n, 0, q**n, mu)
     return _report(ctx, n, "quadratic", phase, hist)
 
 
@@ -511,7 +506,6 @@ def hankel_corr(
     alpha: LaurentSeries,
     beta: LaurentSeries | None = None,
     budget: int = 1_200_000,
-    workers: int = 1,
 ) -> CorrelationReport:
     """sum of mu(f) e(alpha f^2 + beta f) over G_n.  The kernel runs the
     form of the Hankel matrix of alpha (HankelPhase.quad_data), which its
@@ -521,7 +515,7 @@ def hankel_corr(
         raise BudgetExceeded(q**n, budget, "correlation sweep")
     phase = HankelPhase(alpha, beta)
     mu = _sieve.mobius_over_g(ctx, n)
-    return _report(ctx, n, "hankel", phase, phase_hist(ctx, phase, n, 0, q**n, mu, workers))
+    return _report(ctx, n, "hankel", phase, phase_hist(ctx, phase, n, 0, q**n, mu))
 
 
 def linear_reduction_hists(ctx: FieldCtx, n: int, alpha: LaurentSeries, budget=1_200_000):
@@ -732,7 +726,8 @@ def vaughan_decompose(
     (row 0 the w = 0 term of T1): per degree of d, T1 and T2 are the
     coefficients times one _dilation_hists over the whole w range, and the
     direct sum is one phase_hist per degree.  A full sum is a table's
-    total, a restricted sum its pass-degree rows.
+    total, a restricted sum its pass-degree rows.  workers is accepted and
+    ignored, until the benchmark change of ROADMAP item 8 stops binding it.
     """
     q, p = ctx.q, ctx.p
     if u is None:
@@ -767,7 +762,7 @@ def vaughan_decompose(
         for dd in degrees:
             d_codes = q**dd + np.flatnonzero(coeffs[q**dd : 2 * q**dd])
             if len(d_codes):
-                H = _dilation_hists(ctx, form, d_codes, dd, lo, q ** (n - dd), weights, workers)
+                H = _dilation_hists(ctx, form, d_codes, dd, lo, q ** (n - dd), weights)
                 # slot 0 (w = 0) goes to row 0, slot 1 + deg w to row 1 + deg f
                 out[np.r_[0, 1 + dd : n + 1]] += np.tensordot(coeffs[d_codes], H, 1)
 
@@ -776,7 +771,7 @@ def vaughan_decompose(
     # d of degree n - v - 1 and above leave no w with v < deg w < n - deg d
     dilated(t2, b_d, range(n - v - 1), q ** (v + 1), mu_n)
     for k in range(n):
-        direct[1 + k] = phase_hist(ctx, phase, n, q**k, q ** (k + 1), mu_n, workers)
+        direct[1 + k] = phase_hist(ctx, phase, n, q**k, q ** (k + 1), mu_n)
     t1r, t2r, dr = (h[[1 + d for d in pass_degrees]].sum(axis=0) for h in (t1, t2, direct))
     if not np.array_equal(dr, t2r - t1r):
         raise IdentityCheckError(
@@ -813,7 +808,8 @@ def type_one_mean_square(
     """Reported statistic: for each k, the mean over monic d of degree k of
     |mean over w in G_(n-k) of Phi(d w)|^2.  No threshold is asserted; this
     is the quantity whose largeness would push a phase into the low-rank
-    regime."""
+    regime.  workers is accepted and ignored, until the benchmark change of
+    ROADMAP item 8 stops binding it."""
     q = ctx.q
     if q**n > budget:
         raise BudgetExceeded(q**n, budget, "type I sweep")
@@ -823,7 +819,7 @@ def type_one_mean_square(
     rows = []
     for k in range(min(k_max, n - 1) + 1):
         m = n - k
-        H = _dilation_hists(ctx, form, np.arange(q**k, 2 * q**k), k, 0, q**m, None, workers).sum(axis=1)
+        H = _dilation_hists(ctx, form, np.arange(q**k, 2 * q**k), k, 0, q**m).sum(axis=1)
         total = 0.0
         for h in H:  # in d order, so the float sum is always taken alike
             total += abs(hist_to_complex(ctx, h) / q**m) ** 2
@@ -846,8 +842,9 @@ def exponent_sweep(
 ):
     """Sampled max/mean |sum| and empirical exponents per n for the linear,
     quadratic or hankel experiment; exhaustive (linear only) takes every
-    alpha at precision n + 1 instead.  Deterministic under the seed; the
-    worker count never changes results."""
+    alpha at precision n + 1 instead.  Deterministic under the seed.
+    workers is accepted and ignored, until the benchmark change of ROADMAP
+    item 8 stops binding it."""
     if experiment not in ("linear", "quadratic", "hankel"):
         raise ValueError(f"unknown experiment {experiment!r}")
     if exhaustive and experiment != "linear":
@@ -864,19 +861,19 @@ def exponent_sweep(
             # G_n: the q^n sums with it 0, repeated q times, are in code order
             for code in range(q**n):
                 al = LaurentSeries(ctx, -1, [(code // q**i) % q for i in range(n)] + [0])
-                abses.append(linear_corr(ctx, n, al, "G", budget, workers).abs(ctx))
+                abses.append(linear_corr(ctx, n, al, "G", budget).abs(ctx))
             abses *= q
         else:
             for _ in range(samples):
                 if experiment == "linear":
                     al = sample_torus(ctx, rng, n + 1)
-                    rep = linear_corr(ctx, n, al, "G", budget, workers)
+                    rep = linear_corr(ctx, n, al, "G", budget)
                 elif experiment == "quadratic":
-                    rep = quad_corr(ctx, n, _random_quad_phase(ctx, n, rng), budget, workers)
+                    rep = quad_corr(ctx, n, _random_quad_phase(ctx, n, rng), budget)
                 else:
                     al = sample_torus(ctx, rng, 2 * n + 2)
                     be = sample_torus(ctx, rng, n + 1)
-                    rep = hankel_corr(ctx, n, al, be, budget, workers)
+                    rep = hankel_corr(ctx, n, al, be, budget)
                 abses.append(rep.abs(ctx))
         if abses:
             mx, mean = max(abses), sum(abses) / len(abses)

@@ -125,7 +125,7 @@ def _bincount_reference(ctx, phase, n, lo, hi, weights):
 
 def test_histogram_order_independence(monkeypatch):
     # every phase kind against a bincount over its own exponents, and no
-    # output bit depends on the range split, the chunking or the workers
+    # output bit depends on the range split or the chunking
     from ffmobius.sieve import mobius_over_g
 
     for p, s, n in ((2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 4), (2, 3, 3), (3, 2, 3)):
@@ -146,12 +146,10 @@ def test_histogram_order_independence(monkeypatch):
                     want = _bincount_reference(ctx, phase, n, lo, hi, weights)
                     assert np.array_equal(phase_hist(ctx, phase, n, lo, hi, weights), want)
                 monkeypatch.setattr(correlations, "CHUNK", 37)
-                for workers in (1, 2):
-                    threaded = phase_hist(ctx, phase, n, 0, top, weights, workers)
-                    assert np.array_equal(whole, threaded)
-                    lo, hi = top // 3, top // 3 + 70  # two chunks of 37
-                    want = _bincount_reference(ctx, phase, n, lo, hi, weights)
-                    assert np.array_equal(phase_hist(ctx, phase, n, lo, hi, weights, workers), want)
+                assert np.array_equal(whole, phase_hist(ctx, phase, n, 0, top, weights))
+                lo, hi = top // 3, top // 3 + 70  # two chunks of 37
+                want = _bincount_reference(ctx, phase, n, lo, hi, weights)
+                assert np.array_equal(phase_hist(ctx, phase, n, lo, hi, weights), want)
                 monkeypatch.undo()
 
 

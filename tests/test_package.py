@@ -1,3 +1,4 @@
+import inspect
 import re
 import subprocess
 import sys
@@ -35,6 +36,33 @@ def test_public_names_import_in_a_fresh_interpreter():
     res = subprocess.run([sys.executable, "-c", SURFACE_CHECK], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == ""
+
+
+def test_cli_run_starts_no_thread_pool(tmp_path):
+    # histograms are summed span by span in one thread; a run that still
+    # accepts --workers must not even import an executor
+    code = (
+        "import sys\n"
+        "from ffmobius import cli\n"
+        f"assert cli.main(['linear-corr', '--field', '3', '--n', '9', '--workers', '4', "
+        f"'--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+def test_benchmark_bound_signatures():
+    # perfbench/child.py binds these: it unpacks exactly these seven bound
+    # parameters of phase_hist and passes workers= to the three drivers
+    from ffmobius import correlations
+
+    params = list(inspect.signature(correlations.phase_hist).parameters)
+    assert params == ["ctx", "phase", "ncoords", "lo", "hi", "weights", "workers"]
+    for fn in (correlations.exponent_sweep, correlations.vaughan_decompose,
+               correlations.type_one_mean_square):
+        assert "workers" in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_readme_quick_tour_runs():

@@ -394,15 +394,13 @@ def test_dilation_hists_match_composed_phases(p, s, n, monkeypatch):
                         want = _composed_hists(ctx, phase, d_codes, m, lo_k, hi_k, weights)
                         assert np.array_equal(got[:, k], want), (phase.descriptor(), dd, lo, hi, k)
         # spans of five w-codes with blocks of one d (and of several d on a
-        # short last span), and one span with blocks of two d, serial and
-        # threaded
+        # short last span), and one span with blocks of two d
         d_codes, m = np.arange(q, 2 * q), n - 1
         want = _composed_hists(ctx, phase, d_codes, m, 0, q**m, mu)
         for chunk in (5, 2 * q**m):
             monkeypatch.setattr(correlations, "CHUNK", chunk)
-            for workers in (1, 2):
-                got = correlations._dilation_hists(ctx, form, d_codes, 1, 0, q**m, mu, workers)
-                assert np.array_equal(got.sum(axis=1), want), (phase.descriptor(), chunk, workers)
+            got = correlations._dilation_hists(ctx, form, d_codes, 1, 0, q**m, mu)
+            assert np.array_equal(got.sum(axis=1), want), (phase.descriptor(), chunk)
         monkeypatch.undo()
 
 
