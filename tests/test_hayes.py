@@ -652,6 +652,27 @@ def test_lpoly_prefix_reuse_matches_fresh_group(case, monkeypatch):
         assert l_polynomial(c, l + m + 1).coeffs == l_polynomial(c, l + m + 2).coeffs[: l + m + 2]
     assert calls == []
 
+@pytest.mark.parametrize("case", SMALL_GROUPS, ids=lambda c: "q={}^{},l={},Q={}".format(*c[0], *c[1:]))
+def test_survey_builds_two_lpolys_per_character(case, monkeypatch):
+    # the survey's four calls ask for n_max = l + m + 2 (l_polynomial,
+    # rh_check, euler_inverse_check) and l + m + 1 (log_deriv_check): one
+    # LPolynomial each, kept on the group
+    built = []
+    lpoly = hayes.LPolynomial
+    monkeypatch.setattr(hayes, "LPolynomial", lambda *a: built.append(len(a[1]) - 1) or lpoly(*a))
+    g = small_group(*case)
+    l, m = g.l, g.m
+    chars = [c for c in g.characters() if not c.is_principal]
+    for _ in range(2):
+        for char in chars:
+            lp = l_polynomial(char, l + m + 2)
+            assert l_polynomial(char, l + m + 2) is lp
+            rh_check(char)
+            euler_inverse_check(char, l + m + 2)
+            log_deriv_check(char, l + m + 1)
+    assert sorted(built) == sorted([l + m + 2, l + m + 1] * len(chars))
+
+
 def test_residue_table_cached_and_capped(monkeypatch, F3, F4):
     cases = [(F3, "2,1,1", 4), (F3, "1,0,2,1", 3), (F4, "2,1", 3), (F4, "0,1,1", 2)]
     want = {}
@@ -689,8 +710,9 @@ def test_one_changed_class_count_breaks_degree_bound(ps, l, Qtext):
         count, _, _ = g.class_weights(n)
         count[g.order // 2] += 1
         char = list(g.characters())[cid]
-        with pytest.raises(IdentityCheckError, match="degree bound"):
-            l_polynomial(char, n + 1)
+        for _ in range(2):  # a failed check is not kept: it raises each time
+            with pytest.raises(IdentityCheckError, match="degree bound"):
+                l_polynomial(char, n + 1)
 
 
 @pytest.mark.parametrize("ps, max_deg", [((2, 1), 4), ((3, 1), 3), ((2, 2), 2), ((5, 1), 2), ((2, 3), 2), ((3, 2), 1)],

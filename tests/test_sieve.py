@@ -5,6 +5,8 @@ import pytest
 
 from ffmobius import Poly, factorize, get_field, mangoldt, mobius, tau
 from ffmobius import sieve as _sieve
+from ffmobius.correlations import linear_corr
+from ffmobius.laurent import sample_torus
 from ffmobius.sieve import (
     convolve_monic,
     get_sieve,
@@ -183,8 +185,11 @@ def test_sieve_arrays_match_seed_digests(key, chunk, monkeypatch):
     assert sieve_digests(_sieve.MonicSieve(get_field(p, s), D)) == SEED_DIGESTS[key]
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_grown_sieve_matches_fresh(p, monkeypatch):
+@pytest.mark.parametrize("p, reads", [pytest.param(p, reads, id=f"{p}-read" if reads else str(p))
+                                      for reads in (False, True) for p in (2, 3)])
+def test_grown_sieve_matches_fresh(p, reads, monkeypatch):
+    # with reads, tau and Lambda are derived at D = 2 and D = 5 before the
+    # sieve grows; growth copies only the eager arrays
     ctx = get_field(p)
     built = []
     add_degree = _sieve.MonicSieve._add_degree
@@ -197,10 +202,29 @@ def test_grown_sieve_matches_fresh(p, monkeypatch):
     monkeypatch.setattr(_sieve.MonicSieve, "_add_degree", recording)
     for D in (2, 5, 8):
         grown = _sieve.get_sieve(ctx, D)
+        if reads and D < 8:
+            grown.tau, grown.mangoldt
     assert built == list(range(1, 9))  # each degree sieved once
     monkeypatch.setattr(_sieve, "_SIEVES", {})
     fresh = _sieve.MonicSieve(ctx, 8)
     assert sieve_digests(grown) == sieve_digests(fresh)
+
+
+@pytest.mark.parametrize("ps, n", [((2, 1), 9), ((3, 1), 6), ((2, 2), 4)], ids=["q=2", "q=3", "q=4"])
+def test_mu_sums_derive_neither_tau_nor_mangoldt(ps, n, monkeypatch):
+    # the correlation sums read only mu: a sieve they build derives neither
+    # tau nor Lambda, which are read on demand
+    ctx = get_field(*ps)
+    monkeypatch.setattr(_sieve, "_SIEVES", {})
+    monkeypatch.setattr(_sieve, "_MU_G", {})
+    alpha = sample_torus(ctx, np.random.default_rng(5), n + 2)
+    for domain in ("A", "G"):
+        linear_corr(ctx, n, alpha, domain)
+    sv = _sieve._SIEVES[ctx]
+    assert sv.max_deg >= n - 1
+    assert sv._tau == () and sv._mangoldt == ()
+    assert sum(v.nbytes for v in vars(sv).values() if isinstance(v, np.ndarray)) == 19 * len(sv.mu)
+    assert sv.tau[1] == 1 and sv._tau and not sv._mangoldt  # derived apart
 
 
 @pytest.mark.parametrize("ps", [(2, 1), (3, 1), (2, 2)], ids=lambda ps: "q={}^{}".format(*ps))
