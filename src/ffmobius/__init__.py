@@ -45,8 +45,6 @@ from .quadform import (
     QuadPhase,
     RankStats,
     rank,
-    gauss_mean,
-    isotropic_count,
     hankel_matrix,
     dilation_matrix,
     m_ab,
@@ -63,6 +61,8 @@ from .correlations import (
     linear_corr,
     quad_corr,
     hankel_corr,
+    gauss_mean,
+    isotropic_count,
     periodic_corr,
     periodic_route_check,
     vaughan_pointwise_audit,

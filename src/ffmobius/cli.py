@@ -33,11 +33,13 @@ from .hayes import (
 )
 from .laurent import LaurentSeries, sample_torus
 from .polys import Poly, divisor_second_moment, max_tau_report, pnt_check
-from .quadform import QuadPhase, hankel_matrix, gauss_mean, isotropic_count, rank_stats
+from .quadform import QuadPhase, hankel_matrix, rank_stats
 from .correlations import (
     LinearPhase,
     exponent_sweep,
+    gauss_mean,
     hankel_corr,
+    isotropic_count,
     linear_corr,
     quad_corr,
     type_one_mean_square,
@@ -515,6 +517,8 @@ def run_rank_stats(ctx, cfg, rng):
 def run_exponent_sweep(ctx, cfg, rng):
     if ctx.p == 2 and cfg["experiment"] == "quadratic":
         raise UsageError(f"--field {cfg['field']}: --experiment quadratic requires odd characteristic (p > 2)")
+    if cfg["nmin"] > cfg["nmax"]:
+        raise UsageError(f"--nmin {cfg['nmin']} must be <= --nmax {cfg['nmax']}")
     ns = range(cfg["nmin"], cfg["nmax"] + 1)
     rows = exponent_sweep(ctx, cfg["experiment"], ns, cfg["samples"], cfg["seed"], cfg["budget"])
     return ["n", "samples", "max_abs", "mean_abs", "max_exponent"], rows

@@ -1,4 +1,5 @@
-"""Mobius correlation sums with linear, quadratic and Hankel phases.
+"""Mobius correlation sums with linear, quadratic and Hankel phases, and
+the Gauss and isotropic sums of quadratic forms.
 
 Every sum is accumulated as an integer histogram of omega_p exponents
 (signed by mu), so results are exact, order independent, and merge across
@@ -11,12 +12,14 @@ degree <= 2 in the coefficients of f, and gives Q as quadratic data
 (M, b, c, r) over F_q (`Phase.quad_data`): a linear phase has M = 0, a
 Hankel phase M = hankel_matrix(alpha).  Since F_q multiplication is
 F_p-bilinear and the trace F_p-linear, the exponent is a quadratic form
-over F_p in the N = s n base-p digits of a code (quadform.digit_form).
+over F_p in the N = s n base-p digits of a code (fields.digit_form).
 `Phase.form` builds it once per number of coordinates (`PhaseForm`) and
 checks it against the phase's own `exponents` at codes that determine a
 quadratic form, which makes the check an exact second route for every
 phase kind at every p; `phase_hist` then evaluates whole code ranges with
 one matrix product per chunk and takes the histogram with a bincount.
+The Gauss sums of a quadratic phase (gauss_mean) and the common zeros of
+pure forms (isotropic_count) run on the same kernel and its compiled forms.
 The Vaughan type I / type II sums need Phi(d w) over w for many d; since
 the exponent of d w is again a quadratic form in the digits of w, with
 data (L_d^T A L_d, b L_d, c), the decomposition stacks the dilated forms
@@ -40,11 +43,11 @@ from .errors import (
     IdentityCheckError,
     PrecisionExceeded,
 )
-from .fields import FieldCtx
+from .fields import FieldCtx, digit_form
 from .hayes import HayesClass, head_index, residues_mod
 from .laurent import LaurentSeries, dirichlet_approx, sample_torus
 from .polys import Poly
-from .quadform import QuadPhase, digit_form, hankel_matrix
+from .quadform import QuadPhase, hankel_matrix
 from . import sieve as _sieve
 
 __all__ = [
@@ -56,6 +59,8 @@ __all__ = [
     "linear_corr",
     "quad_corr",
     "hankel_corr",
+    "gauss_mean",
+    "isotropic_count",
     "linear_reduction_hists",
     "periodic_corr",
     "periodic_route_check",
@@ -498,6 +503,64 @@ def quad_corr(
     mu = _sieve.mobius_over_g(ctx, n)
     hist = phase_hist(ctx, phase, n, 0, q**n, mu)
     return _report(ctx, n, "quadratic", phase, hist)
+
+
+def gauss_mean(phase: QuadPhase, budget: int = 1_200_000, tol: float = 1e-9) -> complex:
+    """E over x in F_q^n of the phase, by exhaustive summation (phase_hist).
+
+    Asserts the Gauss-sum bound |E| <= q^(-rank/2) and, for a pure form
+    (b = 0, r != 0), equality.  Odd characteristic only: the bound's proof
+    halves a bilinear form.
+    """
+    ctx = phase.ctx
+    if ctx.p == 2:
+        raise CharacteristicError("gauss_mean requires p > 2")
+    q, n = ctx.q, phase.n
+    if q**n > budget:
+        raise BudgetExceeded(q**n, budget, "F_q^n sweep")
+    mean = hist_to_complex(ctx, phase_hist(ctx, QuadraticPhase(phase), n, 0, q**n)) / q**n
+    bound = float(q) ** (-phase.effective_rank() / 2)
+    if abs(mean) > bound + tol:
+        raise IdentityCheckError(
+            "Gauss mean exceeds q^(-rank/2)",
+            counterexample=f"phase {phase.describe()}, |E|={abs(mean):.12g}, bound={bound:.12g}",
+        )
+    if phase.r and not phase.b.any() and abs(abs(mean) - bound) > tol:
+        raise IdentityCheckError(
+            "pure quadratic Gauss mean misses the equality case",
+            counterexample=f"phase {phase.describe()}, |E|={abs(mean):.12g}, expected {bound:.12g}",
+        )
+    return mean
+
+
+def isotropic_count(ctx: FieldCtx, forms, n: int, budget: int = 1_200_000):
+    """Common zeros of pure quadratic forms (symmetric matrices) over F_p^n,
+    with the lower bound (1 - p^(-1/2)) p^(n - 2 r (r+1)).  Returns (count,
+    bound).  Each form is evaluated by its compiled form (checked against
+    the MUL and TRACE tables when it compiles), a span of at most CHUNK
+    codes at a time."""
+    if ctx.s != 1:
+        raise ValueError("isotropic counting is over prime fields")
+    p = ctx.p
+    if p**n > budget:
+        raise BudgetExceeded(p**n, budget, "F_p^n sweep")
+    zero = np.zeros(n, dtype=np.int64)
+    compiled = [QuadraticPhase(QuadPhase(ctx, M, zero)).form(n) for M in forms]
+    count = 0
+    for a in range(0, p**n, CHUNK):
+        codes = np.arange(a, min(a + CHUNK, p**n))
+        ok = np.ones(len(codes), dtype=bool)
+        for form in compiled:
+            ok &= form.exponents(codes) == 0
+        count += int(ok.sum())
+    r = len(compiled)
+    bound = (1 - p**-0.5) * float(p) ** (n - 2 * r * (r + 1))
+    if count < bound:
+        raise IdentityCheckError(
+            "isotropic count below the guaranteed bound",
+            counterexample=f"p={p}, n={n}, r={r}, count={count}, bound={bound:.6g}",
+        )
+    return count, bound
 
 
 def hankel_corr(

@@ -7,6 +7,10 @@ operations with numpy fancy indexing.  Beside the scalar tables sits the
 F_p digit layer: DIGITS[a] holds the digits of a, and MULMAT[a] is the
 s x s F_p matrix of multiplication by a (column i the digits of a x^i), on
 which every vectorised F_q-linear or F_q-quadratic evaluation is built.
+Two functions here own that layer for the rest of the package: fq_matmul
+is one integer matmul on base-p digits, and digit_form turns quadratic
+data (M, b, c, r) into one F_p quadratic form on the s n base-p digits of
+a code.  Both take arrays of field codes, checked by as_codes.
 
 The modulus for s > 1 is the lexicographically smallest monic irreducible
 of degree s over F_p, smallest meaning lowest code with the constant
@@ -20,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 
-__all__ = ["FieldCtx", "get_field", "parse_field"]
+__all__ = ["FieldCtx", "get_field", "parse_field", "as_codes", "fq_matmul", "digit_form"]
 
 
 def _is_prime(n: int) -> bool:
@@ -228,3 +232,44 @@ def parse_field(spec: str, budget: int | None = None) -> FieldCtx:
                 needed = p ** (2 * s) if s <= 64 else q * q  # else a lower bound
                 raise BudgetExceeded(needed, budget, "q x q field tables")
     return get_field(p, s)
+
+
+# -- the digit layer on arrays of codes ----------------------------------------
+
+def as_codes(ctx: FieldCtx, M) -> np.ndarray:
+    """M as an int64 array, checked to hold field codes of ctx."""
+    M = np.asarray(M, dtype=np.int64)
+    if M.size and (M.min() < 0 or M.max() >= ctx.q):
+        raise ValueError("matrix entries must be field codes")
+    return M
+
+
+def fq_matmul(ctx: FieldCtx, A, B) -> np.ndarray:
+    """Matrix product over F_q (codes in, codes out).
+
+    On base-p digits, multiplying by b is the F_p matrix MULMAT[b], so the
+    digits of (A B)_ij are sum_k MULMAT[B_kj] DIGITS[A_ik] mod p: one integer
+    matmul of A's digits against B's entries expanded into their matrices."""
+    A = as_codes(ctx, A)
+    B = as_codes(ctx, B)
+    (m, k), n, s = A.shape, B.shape[1], ctx.s
+    X = ctx.DIGITS[A].reshape(m, k * s)
+    W = ctx.MULMAT[B].transpose(0, 3, 1, 2).reshape(k * s, n * s)  # rows (k, i), columns (j, t)
+    return (X @ W % ctx.p).reshape(m, n, s) @ ctx.p ** np.arange(s)
+
+
+def digit_form(ctx: FieldCtx, M, b, c: int = 0, r: int = 1) -> tuple:
+    """Tr(r (x^T M x + b.x + c)) as an F_p quadratic form y^T A y + b'.y + c'
+    on the N = s n base-p digits y of x in F_q^n (digit t of x_i at y_(i s + t),
+    the digits of the code of x).  With T[k, l] = Tr(x^k x^l) and
+    tau_t = Tr(x^t), block (i, j) of A is T MULMAT[r M_ij], b'_i is
+    tau MULMAT[r b_i] and c' = Tr(r c).  Returns (A, b', c') with residues
+    mod p; A is not made symmetric or triangular, and M need not be."""
+    M, b = as_codes(ctx, M), as_codes(ctx, b)
+    n, p, s = len(b), ctx.p, ctx.s
+    basis = p ** np.arange(s)  # the codes of x^0, ..., x^(s-1)
+    T = ctx.TRACE[ctx.MUL[basis[:, None], basis]]
+    A = T @ ctx.MULMAT[ctx.MUL[r][M]] % p  # block (i, j) at A[i, j]
+    A = A.transpose(0, 2, 1, 3).reshape(s * n, s * n)
+    b = (ctx.TRACE[basis] @ ctx.MULMAT[ctx.MUL[r][b]] % p).ravel()
+    return A, b, int(ctx.TRACE[ctx.mul(r, c)])

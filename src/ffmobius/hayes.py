@@ -39,8 +39,8 @@ from math import lcm, prod
 import numpy as np
 
 from .errors import BudgetExceeded, IdentityCheckError
-from .fields import FieldCtx
-from .polys import Poly, factorize
+from .fields import FieldCtx, fq_matmul
+from .polys import Poly, factorize, poly_gcd
 from .snf import smith_normal_form
 from . import sieve as _sieve
 
@@ -153,8 +153,6 @@ class HayesGroup:
         mod Q, from the rows t^k mod Q) and on heads (1, a_1..a_l) (products
         with (1, b_1..b_l) truncated after u^l): one product of the residue
         and head digit rows against e_j's block-diagonal matrix."""
-        from .quadform import fq_matmul
-
         ctx, phi, ql, m, X = self.ctx, self.phi, self.ctx.q**self.l, self.m, self._digits
         B = fq_matmul(ctx, X[[j // ql]] + X[[phi + j % ql]], self._law).reshape(X.shape[1], -1)
         out = fq_matmul(ctx, X, B)
@@ -345,8 +343,6 @@ class HayesGroup:
 
 
 def poly_coprime(f: Poly, Q: Poly) -> bool:
-    from .polys import poly_gcd
-
     g = poly_gcd(f, Q)
     return g.deg == 0
 
@@ -377,8 +373,6 @@ def residues_mod(ctx: FieldCtx, Q: Poly, n: int) -> np.ndarray:
     key = (ctx, Q.code, n)
     res = _RESIDUES.get(key)
     if res is None:
-        from .quadform import fq_matmul
-
         digits = _sieve.monic_digit_matrix(ctx, n)  # f mod Q = sum_k f_k (t^k mod Q)
         res = _sieve.digits_to_codes(ctx, fq_matmul(ctx, digits, _tmod_rows(ctx, Q, n)))
         res.flags.writeable = False
@@ -581,8 +575,6 @@ def _coprime_residue_mask(ctx: FieldCtx, Q: Poly) -> np.ndarray:
     """Invertible residues mod Q: nonzero mod each prime factor of Q."""
     key = (ctx, Q.code)
     if key not in _COPRIME_MASKS:
-        from .quadform import fq_matmul
-
         m = int(Q.deg)
         tab = np.ones(ctx.q**m, dtype=bool)
         digits = _sieve.codes_to_digits(ctx, np.arange(ctx.q**m), m)

@@ -266,9 +266,9 @@ class Factorization:
         return out
 
 
-def irreducibles_of_degree(ctx: FieldCtx, d: int, budget: int | None = None):
+def irreducibles_of_degree(ctx: FieldCtx, d: int):
     """Monic irreducibles of degree d, in code order."""
-    s = _sieve.get_sieve(ctx, d, budget=budget)
+    s = _sieve.get_sieve(ctx, d)
     return [Poly.from_code(ctx, int(c)) for c in s.irr_codes[d]]
 
 

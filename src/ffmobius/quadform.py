@@ -1,22 +1,18 @@
-"""Quadratic phases over F_q^n: ranks, Gauss sums, isotropic counting,
-Hankel matrices of Laurent series, and dilation compressions.
+"""Quadratic phases over F_q^n: ranks, Hankel matrices of Laurent series,
+and dilation compressions.
 
 A phase is chi_r(x^T M x + b.x + c) with M symmetric; its rank is the rank
 of M.  Everything is exact: matrices hold field codes, elimination uses the
-field tables, and exponential means are assembled from integer exponent
-histograms.  Products and forms go through the field's digit layer
-(FieldCtx.DIGITS, MULMAT): fq_matmul is one integer matmul on base-p
-digits, and digit_form turns quadratic data (M, b, c, r) into one F_p
-quadratic form on the s n base-p digits of a code.  Every phase of
-correlations, linear and Hankel included, compiles its form for
-phase_hist from it (gauss_mean sums that; isotropic_count evaluates it).
-Ranks come from one elimination along a batch axis (_ranks): rank is its
-one-item call, and rank_stats ranks blocks of compressions M_{a,b}, each
-block one contraction of the compressions of monomials.  The symmetrised
-compression (L_a^T M L_b + L_b^T M L_a)/2 needs odd characteristic; for
-Hankel matrices the single product L_a^T M L_b is already symmetric and is
-used instead, which keeps the characteristic-2 case available where it
-makes sense.
+field tables, and products go through the field's digit layer
+(fields.fq_matmul).  The Gauss and isotropic sums of a phase run on the
+phase kernel and live beside it, in correlations (gauss_mean,
+isotropic_count).  Ranks come from one elimination along a batch axis
+(_ranks): rank is its one-item call, and rank_stats ranks blocks of
+compressions M_{a,b}, each block one contraction of the compressions of
+monomials.  The symmetrised compression (L_a^T M L_b + L_b^T M L_a)/2
+needs odd characteristic; for Hankel matrices the single product
+L_a^T M L_b is already symmetric and is used instead, which keeps the
+characteristic-2 case available where it makes sense.
 """
 
 from __future__ import annotations
@@ -28,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import sieve
-from .errors import BudgetExceeded, CharacteristicError, IdentityCheckError
-from .fields import FieldCtx
+from .errors import BudgetExceeded, CharacteristicError
+from .fields import FieldCtx, as_codes, fq_matmul
 from .laurent import LaurentSeries
 from .polys import Poly
 
@@ -37,10 +33,6 @@ __all__ = [
     "QuadPhase",
     "RankStats",
     "rank",
-    "fq_matmul",
-    "digit_form",
-    "gauss_mean",
-    "isotropic_count",
     "hankel_matrix",
     "dilation_matrix",
     "m_ab",
@@ -49,13 +41,6 @@ __all__ = [
     "matrix_from_csv",
     "rank_stats",
 ]
-
-
-def _as_matrix(ctx: FieldCtx, M) -> np.ndarray:
-    M = np.asarray(M, dtype=np.int64)
-    if M.size and (M.min() < 0 or M.max() >= ctx.q):
-        raise ValueError("matrix entries must be field codes")
-    return M
 
 
 @dataclass(frozen=True)
@@ -69,8 +54,8 @@ class QuadPhase:
     r: int = 1
 
     def __post_init__(self):
-        M = _as_matrix(self.ctx, self.M)
-        b = _as_matrix(self.ctx, self.b)
+        M = as_codes(self.ctx, self.M)
+        b = as_codes(self.ctx, self.b)
         if M.shape[0] != M.shape[1] or not np.array_equal(M, M.T):
             raise ValueError("M must be symmetric")
         if b.shape != (M.shape[0],):
@@ -120,100 +105,7 @@ def _ranks(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
 
 def rank(ctx: FieldCtx, M) -> int:
     """Rank over F_q by exact Gaussian elimination."""
-    return int(_ranks(ctx, _as_matrix(ctx, M)[None])[0])
-
-
-def fq_matmul(ctx: FieldCtx, A, B) -> np.ndarray:
-    """Matrix product over F_q (codes in, codes out).
-
-    On base-p digits, multiplying by b is the F_p matrix MULMAT[b], so the
-    digits of (A B)_ij are sum_k MULMAT[B_kj] DIGITS[A_ik] mod p: one integer
-    matmul of A's digits against B's entries expanded into their matrices."""
-    A = _as_matrix(ctx, A)
-    B = _as_matrix(ctx, B)
-    (m, k), n, s = A.shape, B.shape[1], ctx.s
-    X = ctx.DIGITS[A].reshape(m, k * s)
-    W = ctx.MULMAT[B].transpose(0, 3, 1, 2).reshape(k * s, n * s)  # rows (k, i), columns (j, t)
-    return (X @ W % ctx.p).reshape(m, n, s) @ ctx.p ** np.arange(s)
-
-
-def digit_form(ctx: FieldCtx, M, b, c: int = 0, r: int = 1) -> tuple:
-    """Tr(r (x^T M x + b.x + c)) as an F_p quadratic form y^T A y + b'.y + c'
-    on the N = s n base-p digits y of x in F_q^n (digit t of x_i at y_(i s + t),
-    the digits of the code of x).  With T[k, l] = Tr(x^k x^l) and
-    tau_t = Tr(x^t), block (i, j) of A is T MULMAT[r M_ij], b'_i is
-    tau MULMAT[r b_i] and c' = Tr(r c).  Returns (A, b', c') with residues
-    mod p; A is not made symmetric or triangular, and M need not be."""
-    M, b = _as_matrix(ctx, M), _as_matrix(ctx, b)
-    n, p, s = len(b), ctx.p, ctx.s
-    basis = p ** np.arange(s)  # the codes of x^0, ..., x^(s-1)
-    T = ctx.TRACE[ctx.MUL[basis[:, None], basis]]
-    A = T @ ctx.MULMAT[ctx.MUL[r][M]] % p  # block (i, j) at A[i, j]
-    A = A.transpose(0, 2, 1, 3).reshape(s * n, s * n)
-    b = (ctx.TRACE[basis] @ ctx.MULMAT[ctx.MUL[r][b]] % p).ravel()
-    return A, b, int(ctx.TRACE[ctx.mul(r, c)])
-
-
-def gauss_mean(phase: QuadPhase, budget: int = 1_200_000, tol: float = 1e-9) -> complex:
-    """E over x in F_q^n of the phase, by exhaustive summation (phase_hist).
-
-    Asserts the Gauss-sum bound |E| <= q^(-rank/2) and, for a pure form
-    (b = 0, r != 0), equality.  Odd characteristic only: the bound's proof
-    halves a bilinear form.
-    """
-    from .correlations import QuadraticPhase, hist_to_complex, phase_hist
-
-    ctx = phase.ctx
-    if ctx.p == 2:
-        raise CharacteristicError("gauss_mean requires p > 2")
-    q, n = ctx.q, phase.n
-    if q**n > budget:
-        raise BudgetExceeded(q**n, budget, "F_q^n sweep")
-    mean = hist_to_complex(ctx, phase_hist(ctx, QuadraticPhase(phase), n, 0, q**n)) / q**n
-    bound = float(q) ** (-phase.effective_rank() / 2)
-    if abs(mean) > bound + tol:
-        raise IdentityCheckError(
-            "Gauss mean exceeds q^(-rank/2)",
-            counterexample=f"phase {phase.describe()}, |E|={abs(mean):.12g}, bound={bound:.12g}",
-        )
-    if phase.r and not phase.b.any() and abs(abs(mean) - bound) > tol:
-        raise IdentityCheckError(
-            "pure quadratic Gauss mean misses the equality case",
-            counterexample=f"phase {phase.describe()}, |E|={abs(mean):.12g}, expected {bound:.12g}",
-        )
-    return mean
-
-
-def isotropic_count(ctx: FieldCtx, forms, n: int, budget: int = 1_200_000):
-    """Common zeros of pure quadratic forms (symmetric matrices) over F_p^n,
-    with the lower bound (1 - p^(-1/2)) p^(n - 2 r (r+1)).  Returns (count,
-    bound).  Each form is evaluated by its compiled form (checked against
-    the MUL and TRACE tables when it compiles), a span of at most CHUNK
-    codes at a time."""
-    from .correlations import CHUNK, QuadraticPhase
-
-    if ctx.s != 1:
-        raise ValueError("isotropic counting is over prime fields")
-    p = ctx.p
-    if p**n > budget:
-        raise BudgetExceeded(p**n, budget, "F_p^n sweep")
-    zero = np.zeros(n, dtype=np.int64)
-    compiled = [QuadraticPhase(QuadPhase(ctx, M, zero)).form(n) for M in forms]
-    count = 0
-    for a in range(0, p**n, CHUNK):
-        codes = np.arange(a, min(a + CHUNK, p**n))
-        ok = np.ones(len(codes), dtype=bool)
-        for form in compiled:
-            ok &= form.exponents(codes) == 0
-        count += int(ok.sum())
-    r = len(compiled)
-    bound = (1 - p**-0.5) * float(p) ** (n - 2 * r * (r + 1))
-    if count < bound:
-        raise IdentityCheckError(
-            "isotropic count below the guaranteed bound",
-            counterexample=f"p={p}, n={n}, r={r}, count={count}, bound={bound:.6g}",
-        )
-    return count, bound
+    return int(_ranks(ctx, as_codes(ctx, M)[None])[0])
 
 
 def hankel_matrix(alpha: LaurentSeries, n: int) -> np.ndarray:

@@ -391,10 +391,8 @@ class MonicSieve:
 _SIEVES: dict[FieldCtx, MonicSieve] = {}
 
 
-def get_sieve(ctx: FieldCtx, max_deg: int, budget: int | None = None) -> MonicSieve:
+def get_sieve(ctx: FieldCtx, max_deg: int) -> MonicSieve:
     """Cached sieve covering monic degrees <= max_deg (grows on demand)."""
-    if budget is not None and ctx.q**max_deg > budget:
-        raise BudgetExceeded(ctx.q**max_deg, budget, f"sieve to degree {max_deg}")
     cur = _SIEVES.get(ctx)
     if cur is None or cur.max_deg < max_deg:
         cur = MonicSieve(ctx, max_deg)
@@ -405,7 +403,7 @@ def get_sieve(ctx: FieldCtx, max_deg: int, budget: int | None = None) -> MonicSi
 _MU_G: dict[tuple, np.ndarray] = {}
 
 
-def mobius_over_g(ctx: FieldCtx, n: int, budget: int | None = None) -> np.ndarray:
+def mobius_over_g(ctx: FieldCtx, n: int) -> np.ndarray:
     """mu over all of G_n as an int8 array indexed by code in [0, q^n).
 
     mu is extended off monics by unit invariance: mu(c f) = mu(f) for units c
@@ -416,8 +414,6 @@ def mobius_over_g(ctx: FieldCtx, n: int, budget: int | None = None) -> np.ndarra
     key = (ctx, n)
     if key in _MU_G:
         return _MU_G[key]
-    if budget is not None and ctx.q**n > budget:
-        raise BudgetExceeded(ctx.q**n, budget, "G_n mobius table")
     q = ctx.q
     sieve = get_sieve(ctx, max(n - 1, 1))
     out = np.zeros(q**n, dtype=np.int8)

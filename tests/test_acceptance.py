@@ -29,15 +29,15 @@ from ffmobius.hayes import (
 from ffmobius.laurent import dirichlet_approx, from_rational, sample_torus
 from ffmobius.quadform import (
     QuadPhase,
-    gauss_mean,
     hankel_matrix,
-    isotropic_count,
     m_ab,
 )
 from ffmobius.correlations import (
     LinearPhase,
     exponent_sweep,
+    gauss_mean,
     hankel_corr,
+    isotropic_count,
     linear_corr,
     linear_reduction_hists,
     periodic_route_check,

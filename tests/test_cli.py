@@ -204,6 +204,7 @@ def test_rank_stats_k_above_n_names_the_flag():
     (["linear-corr", "--field", "3", "--n", "-1"], "--n -1 must be >= 0"),
     (["hankel-corr", "--field", "3", "--n", "-1"], "--n -1 must be >= 0"),
     (["exponent-sweep", "--field", "3", "--nmin", "-2"], "--nmin -2 must be >= 0"),
+    (["exponent-sweep", "--field", "3", "--nmin", "5", "--nmax", "2"], "--nmin 5 must be <= --nmax 2"),
     (["vaughan-audit", "--field", "2", "--n", "8", "--u", "-1", "--v", "1"], "--u -1 must be >= 0"),
     (["rank-stats", "--field", "2", "--n", "4", "--mode", "sampled", "--samples", "-3"],
      "--samples -3 must be >= 0"),
@@ -218,9 +219,9 @@ def test_rank_stats_k_above_n_names_the_flag():
     (["hayes-lfunc", "--field", "2", "--l", "-1", "--Q", "0,1"], "--l -1 must be >= 0"),
     (["pnt", "--field", "2", "--seed", "-1"], "--seed -1 must be >= 0"),
 ], ids=["gauss-n", "quad-n", "isotropic-n", "isotropic-r", "vaughan-n", "divisor-nmax", "linear-n",
-        "hankel-n", "sweep-nmin", "vaughan-u", "rank-samples", "workers-0", "workers-neg",
-        "workers-abbrev", "quad-trials", "sweep-samples", "pnt-lmax", "mobius-nmax", "hayes-l",
-        "seed"])
+        "hankel-n", "sweep-nmin", "sweep-nmin-above-nmax", "vaughan-u", "rank-samples", "workers-0",
+        "workers-neg", "workers-abbrev", "quad-trials", "sweep-samples", "pnt-lmax", "mobius-nmax",
+        "hayes-l", "seed"])
 def test_negative_size_names_the_flag(args, message, capsys):
     # one rule for every integer flag, on the exact-flag reader and on the
     # argparse path (--work is an abbreviation)

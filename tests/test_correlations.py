@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ffmobius import Poly, get_field, mobius
-from ffmobius import correlations, quadform
+from ffmobius import correlations, fields
 from ffmobius.errors import CharacteristicError, IdentityCheckError, PrecisionExceeded
 from ffmobius.hayes import build_group, class_of, l_polynomial
 from ffmobius.laurent import LaurentSeries, sample_torus
@@ -234,8 +234,8 @@ def test_form_of_quad_data_is_checked_exactly(name, n, kind, request, monkeypatc
             A[0, 1] = (A[0, 1] + 1) % ctx.p
             return A, b2, c2
 
-        digit_form = quadform.digit_form
-        monkeypatch.setattr(quadform, "digit_form", corrupted)
+        digit_form = fields.digit_form
+        monkeypatch.setattr(fields, "digit_form", corrupted)
         monkeypatch.setattr(correlations, "digit_form", corrupted)
         with pytest.raises(IdentityCheckError, match="quadratic data"):
             correlations.PhaseForm.compile(QuadraticPhase(qp), n)

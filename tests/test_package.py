@@ -1,3 +1,4 @@
+import ast
 import inspect
 import re
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = README.parent / "src" / "ffmobius"
 
 # In a fresh interpreter: every name of ffmobius.__all__ and of each
 # module's __all__ must import, and each name the package takes from one of
@@ -70,3 +72,41 @@ def test_readme_quick_tour_runs():
     res = subprocess.run([sys.executable, "-c", tour], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "t^3+2"  # the Dirichlet denominator
+
+
+def _relative_imports(path: Path) -> set:
+    """The package modules one module imports by relative import, at any
+    nesting depth; a name of the package that is not a module is __init__."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(a.name if (PACKAGE / f"{a.name}.py").exists() else "__init__"
+                           for a in node.names)
+    return out
+
+
+def test_relative_imports_form_no_cycle():
+    # one-way layering: each import between the package's modules, deferred
+    # ones included, points down one graph, so a deferred import may be
+    # added only where it points down
+    graph = {path.stem: _relative_imports(path) for path in PACKAGE.glob("*.py")}
+    state, stack = {}, []
+
+    def cycle_from(mod):
+        state[mod] = "open"
+        stack.append(mod)
+        for dep in sorted(graph.get(mod, ())):
+            if state.get(dep) == "open":
+                return stack[stack.index(dep):] + [dep]
+            if dep not in state and (cycle := cycle_from(dep)):
+                return cycle
+        stack.pop()
+        state[mod] = "done"
+        return None
+
+    for mod in sorted(graph):
+        cycle = None if mod in state else cycle_from(mod)
+        assert cycle is None, "import cycle: " + " -> ".join(cycle)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffmobius import Poly, get_field
-from ffmobius.correlations import QuadraticPhase
+from ffmobius.correlations import QuadraticPhase, gauss_mean, isotropic_count
 from ffmobius.errors import CharacteristicError, IdentityCheckError
 from ffmobius.laurent import LaurentSeries, sample_torus
 from ffmobius import quadform
@@ -14,10 +14,8 @@ from ffmobius.quadform import (
     _ranks,
     dilation_matrix,
     fq_matmul,
-    gauss_mean,
     hankel_matrix,
     is_hankel,
-    isotropic_count,
     m_ab,
     matrix_from_csv,
     matrix_to_csv,
@@ -326,6 +324,20 @@ def test_batched_ranks_match_rank_item_by_item(ps):
         mats = list(_test_matrices(ctx, m, n, rng, 100))
         stack = np.array(mats).reshape(len(mats), m, n)
         assert _ranks(ctx, stack).tolist() == [rank(ctx, M) for M in mats]
+
+
+@pytest.mark.parametrize("ps, n", [((2, 1), 6), ((3, 1), 5), ((2, 2), 4), ((5, 1), 4), ((3, 2), 3)],
+                         ids=lambda v: "q={}^{}".format(*v) if isinstance(v, tuple) else f"n={v}")
+def test_hankel_ranks_follow_daykin(ps, n):
+    # Daykin's count of the n x n Hankel matrices over F_q by rank: 1 of rank
+    # 0, q^(2r-2)(q^2-1) of rank r for 0 < r < n, q^(2n-2)(q-1) of rank n;
+    # every one of the q^(2n-1) matrices is ranked in one _ranks call
+    ctx = get_field(*ps)
+    q = ctx.q
+    entries = np.arange(q ** (2 * n - 1))[:, None] // q ** np.arange(2 * n - 1) % q
+    stack = entries[:, np.add.outer(np.arange(n), np.arange(n))]
+    expected = [1] + [q ** (2 * r - 2) * (q * q - 1) for r in range(1, n)] + [q ** (2 * n - 2) * (q - 1)]
+    assert np.bincount(_ranks(ctx, stack), minlength=n + 1).tolist() == expected
 
 
 # exhaustive rank_stats of Hankel M = hankel_matrix(sample_torus(ctx, seed, 2 n), n),
