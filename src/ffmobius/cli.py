@@ -581,7 +581,10 @@ def main(argv=None) -> int:
         print(f"identity violated: {exc}", file=sys.stderr)
         return 1
     except (BudgetExceeded, PrecisionExceeded, CharacteristicError, UsageError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)  # a json.JSONDecodeError is a ValueError
+        # a refusal by --budget names the flag; an internal cap keeps its text
+        by_flag = isinstance(exc, BudgetExceeded) and exc.budget == cfg["budget"]
+        flag = f"--budget {exc.budget}: " if by_flag else ""
+        print(f"error: {flag}{exc}", file=sys.stderr)  # a json.JSONDecodeError is a ValueError
         return 2
 
 

@@ -17,23 +17,26 @@ RESIDUES_MAX_BYTES, all zero for Q = 1), read with no case for Q = 1 or
 n = 0 by class_weights, principal_check and periodic_route_check.
 
 The sums over A_n of lambda(f), mu(f) lambda(f) and Lambda(f) lambda(f)
-come from one table per group: class_weights bincounts A_n by class key,
-with residue ranks in place of codes.  Each block of character exponents
-is computed once and histogrammed exactly against the weights of every
-missing degree; only the complex sums are kept, from one stacked matmul per
-block that makes the same 1-D dot for each histogram row.  The L-polynomials
-and the Euler and log-derivative checks read that table, and the degrees
-and roots of every L-polynomial come from one roots table per group: one
-scan of the table, one stacked eigenvalue call per degree.  For non-principal
-lambda the c_n must vanish for n >= l + deg Q, every root must have modulus
-1 or q^(-1/2), and 1/L must reproduce the Mobius-twisted sums; violations
-raise, since all three facts are theorems in this setting.
+come from one table per group: the class weights of all missing degrees
+are bincounted at once, with residue ranks in place of codes.  Each block
+of character exponents is computed once and histogrammed exactly against
+the weights of every missing degree; only the complex sums are kept, from
+one stacked matmul per block that makes the same 1-D dot for each histogram
+row.  The checks run for every character of a group in array passes,
+kept per (kind, n): coefficients, roots (one stacked eigenvalue call per
+degree), the 1/L recursion and the power sums of the inverse roots.  A
+pass makes the floats of one character's Python-complex or numpy-scalar
+arithmetic bit for bit, and a call reads its character's rows.  For
+non-principal lambda the c_n must vanish for n >= l + deg Q, every root
+must have modulus 1 or q^(-1/2), and 1/L must reproduce the Mobius-twisted
+sums; violations raise at that character's call, since all three facts
+are theorems in this setting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm, prod
 
 import numpy as np
@@ -74,10 +77,16 @@ def euler_phi(Q: Poly) -> int:
         raise ValueError("phi(0) undefined")
     q = Q.ctx.q
     out = 1
-    for p, e in factorize(Q).factors:
+    for p, e in _factors(Q.ctx, Q.code):
         np_ = q ** int(p.deg)
         out *= np_ ** (e - 1) * (np_ - 1)
     return out
+
+
+@cache
+def _factors(ctx: FieldCtx, code: int) -> tuple:
+    """factorize(Q).factors for the Q of this code, kept per (field, Q)."""
+    return factorize(Poly.from_code(ctx, code)).factors
 
 
 @dataclass(frozen=True)
@@ -133,7 +142,7 @@ class HayesGroup:
         self._build_structure()
         self._weights_cache: dict[int, tuple] = {}
         self._sums = np.empty((0, self.order, 3), dtype=complex)  # [n, char id, weight]
-        self._roots: dict[int, list] = {}  # top -> (degree, roots) by char id
+        self._tables: dict[tuple, object] = {}  # (kind, n) -> rows of every character
         self._lpolys: dict[tuple, LPolynomial] = {}  # (char id, n_max) -> l_polynomial's
         self._unit_roots = np.exp(2j * np.pi * np.arange(self.exponent_lcm) / self.exponent_lcm)
 
@@ -236,46 +245,54 @@ class HayesGroup:
 
     def characters(self):
         """All characters, principal first, in odometer order over exponents."""
-        for cid in range(self.order):
-            exps, c = [], cid
-            for d in self.invariant_factors:
-                exps.append(c % d)
-                c //= d
+        for cid, exps in enumerate(self._odometer.tolist()):
             yield HayesCharacter(self, cid, tuple(exps))
+
+    @cached_property
+    def _odometer(self) -> np.ndarray:
+        """(order, k) exponents of every character, as characters() numbers them."""
+        d = np.array(self.invariant_factors, dtype=np.int64)
+        return np.arange(self.order)[:, None] // np.cumprod((1, *self.invariant_factors))[:-1] % d
 
     def class_weights(self, n: int, budget: int = 1_200_000):
         """(count, mu, mangoldt) int64 arrays over element indices for A_n."""
-        if n in self._weights_cache:
-            return self._weights_cache[n]
-        ctx, q = self.ctx, self.ctx.q
-        if q**n > budget:
-            raise BudgetExceeded(q**n, budget, "A_n class sweep")
-        sieve = _sieve.get_sieve(ctx, max(n, 1))
-        rank = self._residue_rank[residues_mod(ctx, self.Q, n)]
-        ok = rank >= 0
-        idx = (rank * q**self.l + head_index(ctx, self.l, n))[ok]
-        # the float64 bincounts add integers far below 2^53, so they are exact
-        count = np.bincount(idx, minlength=self.order).astype(np.int64)
-        mu_w = np.bincount(idx, sieve.degree_slice(sieve.mu, n)[ok], self.order).astype(np.int64)
-        mg_w = np.bincount(idx, sieve.degree_slice(sieve.mangoldt, n)[ok], self.order).astype(np.int64)
-        self._weights_cache[n] = (count, mu_w, mg_w)
+        self._weigh([n], budget)
         return self._weights_cache[n]
+
+    def _weigh(self, ns, budget: int):
+        """Keep class_weights(n) for the n in ns, the missing ones from one
+        bincount per weight keyed by (degree, class); then BudgetExceeded at
+        the lowest missing n over budget."""
+        ctx, q, order = self.ctx, self.ctx.q, self.order
+        missing = [n for n in ns if n not in self._weights_cache]
+        todo = [n for n in missing if q**n <= budget]
+        if todo:
+            sieve = _sieve.get_sieve(ctx, max(*todo, 1))
+            rank = self._residue_rank[np.concatenate([residues_mod(ctx, self.Q, n) for n in todo])]
+            head = np.concatenate([head_index(ctx, self.l, n) + i * order for i, n in enumerate(todo)])
+            ok = rank >= 0
+            idx = (rank * q**self.l + head)[ok]
+            # the float64 bincounts add integers far below 2^53, so they are exact
+            w = [None] + [np.concatenate([sieve.degree_slice(a, n) for n in todo])[ok]
+                          for a in (sieve.mu, sieve.mangoldt)]
+            w = np.stack([np.bincount(idx, a, len(todo) * order) for a in w]).astype(np.int64)
+            self._weights_cache.update(zip(todo, zip(*w.reshape(3, len(todo), order))))
+        if len(todo) < len(missing):
+            raise BudgetExceeded(q ** min(set(missing) - set(todo)), budget, "A_n class sweep")
 
     def _character_exponents(self, start: int, stop: int) -> np.ndarray:
         """(stop - start, order) omega_L exponents of the characters with ids
         start..stop-1 on every element."""
-        L, cid = self.exponent_lcm, np.arange(start, stop, dtype=np.int64)
-        scale = np.zeros((stop - start, len(self.invariant_factors)), dtype=np.int64)
-        for j, d in enumerate(self.invariant_factors):  # the odometer of characters()
-            scale[:, j] = cid % d * (L // d)
-            cid //= d
+        L = self.exponent_lcm
+        scale = self._odometer[start:stop] * (L // np.array(self.invariant_factors, dtype=np.int64))
         return scale @ self.dlog_y.T % L
 
     def _histogram_blocks(self, ns, budget: int):
         """Yield (first char id, i, hist) by block of characters, then by
         degree: hist as in exponent_histograms(ns[i]).  A block's exponents
         are computed once for all the degrees."""
-        weights = [np.stack(self.class_weights(n, budget=budget)).astype(np.float64) for n in ns]
+        self._weigh(ns, budget)
+        weights = np.stack([self._weights_cache[n] for n in ns]).astype(np.float64)
         L, order = self.exponent_lcm, self.order
         step = max(1, CHAR_CHUNK_ENTRIES // order)
         for start in range(0, order, step):
@@ -283,9 +300,10 @@ class HayesGroup:
             flat = (self._character_exponents(start, start + k)
                     + L * np.arange(k, dtype=np.int64)[:, None]).ravel()
             for i, wn in enumerate(weights):
+                wn = np.tile(wn, k)  # the three weights of each of the k characters
                 hist = np.empty((k, 3, L), dtype=np.int64)
                 for w in range(3):  # exact, as in class_weights
-                    hist[:, w] = np.bincount(flat, np.tile(wn[w], k), k * L).reshape(k, L)
+                    hist[:, w] = np.bincount(flat, wn[w], k * L).reshape(k, L)
                 yield start, i, hist
 
     def exponent_histograms(self, n: int, budget: int = 1_200_000):
@@ -300,15 +318,10 @@ class HayesGroup:
     def char_sum_table(self, n_max: int, budget: int = 1_200_000) -> np.ndarray:
         """(n_max + 1, order, 3) complex sums over A_n, n = 0..n_max, of lambda(f),
         mu(f) lambda(f) and Lambda(f) lambda(f), one row per character id;
-        degrees not yet kept come from one histogram pass."""
+        degrees not yet kept come from one histogram pass, which raises at
+        the lowest degree over budget before any sum is kept."""
         missing = range(len(self._sums), n_max + 1)
         if missing:
-            # weights of the top degree first, so that the sieve grows once
-            # and before any table is kept; a degree over budget raises in
-            # _histogram_blocks, at the lowest such n
-            for n in reversed(missing):
-                if self.ctx.q**n <= budget:
-                    self.class_weights(n, budget=budget)
             sums = np.empty((len(missing), self.order, 3), dtype=complex)
             for start, i, hist in self._histogram_blocks(missing, budget):
                 # the stacked matmul makes the same 1-D dot for each histogram
@@ -317,26 +330,6 @@ class HayesGroup:
                     hist.astype(complex)[..., None, :], self._unit_roots[:, None])[..., 0, 0]
             self._sums = np.concatenate([self._sums, sums])
         return self._sums[: n_max + 1]
-
-    def _roots_table(self, top: int, budget: int) -> list:
-        """(deflated degree, roots) of the L-polynomial of each non-principal
-        character, by character id, from the coefficients c_0..c_top; kept
-        per top.  The degree is the last k <= top with |c_k| > VANISH_TOL,
-        or 0, and the roots of each degree come from one _stacked_roots.  No
-        constant term is 0: c_0 = lambda(1) = 1 exactly, since A_0 = {1} and
-        1 is the identity class."""
-        if top not in self._roots:
-            C = self.char_sum_table(top, budget=budget)[:, 1:, 0]
-            big = np.abs(C) > VANISH_TOL
-            big[0] = True  # degree 0 when no later c_k is big
-            degs = top - np.argmax(big[::-1], axis=0)
-            table = [None] * self.order
-            for deg in np.unique(degs).tolist():
-                ids = np.flatnonzero(degs == deg)
-                for i, r in zip(ids.tolist(), _stacked_roots(C[deg::-1, ids].T)):
-                    table[1 + i] = (deg, r)
-            self._roots[top] = table
-        return self._roots[top]
 
     def describe(self) -> str:
         return f"l={self.l},Q={self.Q.format()},q={self.ctx.q}"
@@ -369,16 +362,33 @@ _RESIDUES: dict[tuple, np.ndarray] = {}
 
 def residues_mod(ctx: FieldCtx, Q: Poly, n: int) -> np.ndarray:
     """Residue codes of every f in A_n mod Q, in code order of A_n, as a
-    read-only array kept per (Q, n) in _RESIDUES; all zero when Q = 1."""
+    read-only array kept per (Q, n) in _RESIDUES; all zero when Q = 1.
+    In code order A_n is t A_(n-1) + F_q, so for n > 0 the table is one
+    gather of the table of n - 1 through (r, c) -> t r + c mod Q."""
     key = (ctx, Q.code, n)
     res = _RESIDUES.get(key)
     if res is None:
-        digits = _sieve.monic_digit_matrix(ctx, n)  # f mod Q = sum_k f_k (t^k mod Q)
-        res = _sieve.digits_to_codes(ctx, fq_matmul(ctx, digits, _tmod_rows(ctx, Q, n)))
+        if n:
+            res = _times_t_plus(ctx, Q.code)[residues_mod(ctx, Q, n - 1)].ravel()
+        else:  # A_0 = {1}
+            res = np.array([int(Q.deg > 0)])
         res.flags.writeable = False
         if sum(r.nbytes for r in _RESIDUES.values()) + res.nbytes <= RESIDUES_MAX_BYTES:
             _RESIDUES[key] = res
     return res
+
+
+@cache
+def _times_t_plus(ctx: FieldCtx, code: int) -> np.ndarray:
+    """(q^m, q) codes of t r + c mod Q, r a residue code and c in F_q."""
+    Q, q = Poly.from_code(ctx, code), ctx.q
+    m = int(Q.deg)
+    tr = fq_matmul(ctx, _sieve.codes_to_digits(ctx, np.arange(q**m), m), _tmod_rows(ctx, Q, m)[1:])
+    d = np.repeat(tr[:, None], q, axis=1)
+    d[:, :, :1] = ctx.ADD[d[:, :, :1], np.arange(q)[:, None]]  # c adds to the constant digit
+    out = _sieve.digits_to_codes(ctx, d.reshape(q**m * q, m)).reshape(q**m, q)
+    out.flags.writeable = False  # shared by every caller
+    return out
 
 
 def head_index(ctx: FieldCtx, l: int, n: int) -> np.ndarray:
@@ -405,7 +415,7 @@ class HayesCharacter:
         self.group = group
         self.char_id = char_id
         self.exps = exps
-        self.is_principal = all(e == 0 for e in exps)
+        self.is_principal = not any(exps)
 
     def __repr__(self):
         return f"HayesCharacter(id={self.char_id}, exps={self.exps})"
@@ -440,8 +450,49 @@ class LPolynomial:
     degree: int  # numerically deflated degree
     roots: tuple  # complex roots of the deflated polynomial
 
-    def inverse_roots(self) -> tuple:
-        return tuple(1 / r for r in self.roots)
+
+def _kept(build):
+    """build(group, n, budget), rows of every character, kept per (kind, n)."""
+    def table(g: HayesGroup, n: int, budget: int):
+        rows = g._tables.get((build, n))
+        if rows is None:
+            rows = g._tables[build, n] = build(g, n, budget)
+        return rows
+    return table
+
+
+def _first_true(mask: np.ndarray) -> list:
+    """Per column, the first row where mask holds, or len(mask) if none."""
+    return np.logical_not(mask).cumprod(axis=0).sum(axis=0).tolist()
+
+
+@_kept
+def _coeff_table(g: HayesGroup, n_max: int, budget: int):
+    """c_0..c_n_max by char id, and the first n >= l + deg Q with
+    |c_n| >= VANISH_TOL, n_max + 1 when none (np.hypot is abs(complex))."""
+    C, bound = g.char_sum_table(n_max, budget=budget)[:, :, 0], g.l + g.m
+    big = np.hypot(C.real[bound:], C.imag[bound:]) >= VANISH_TOL
+    return C.T.tolist(), [bound + n for n in _first_true(big)]
+
+
+@_kept
+def _roots_table(g: HayesGroup, top: int, budget: int):
+    """Deflated degree, roots (an (order, D) array, 0 past the degree) and
+    root tuple of every L-polynomial from c_0..c_top by char id (degree 0
+    for the principal one).  The degree is the last k <= top with
+    |c_k| > VANISH_TOL, or 0; each degree's roots come from one
+    _stacked_roots.  No root is 0: c_0 = lambda(1) = 1 exactly."""
+    C = g.char_sum_table(top, budget=budget)[:, 1:, 0]
+    big = np.abs(C) > VANISH_TOL
+    big[0] = True  # degree 0 when no later c_k is big
+    degs = top - np.argmax(big[::-1], axis=0)
+    D = int(degs.max(initial=0))
+    roots = np.zeros((g.order, D), dtype=complex)
+    for deg in sorted(set(degs.tolist())):  # np.unique would import numpy.ma
+        ids = np.flatnonzero(degs == deg)
+        roots[1 + ids, :deg] = _stacked_roots(C[deg::-1, ids].T)
+    degs, flat = [0] + degs.tolist(), list(roots.ravel())
+    return degs, roots, [tuple(flat[i * D : i * D + d]) for i, d in enumerate(degs)]
 
 
 def l_polynomial(char: HayesCharacter, n_max: int, budget: int = 1_200_000) -> LPolynomial:
@@ -458,15 +509,15 @@ def l_polynomial(char: HayesCharacter, n_max: int, budget: int = 1_200_000) -> L
     if lp is not None:
         return lp
     bound = g.l + g.m
-    coeffs = g.char_sum_table(n_max, budget=budget)[:, cid, 0].tolist()
-    for n in range(bound, n_max + 1):
-        if abs(coeffs[n]) >= VANISH_TOL:
-            raise IdentityCheckError(
-                "L-polynomial coefficient above the degree bound",
-                counterexample=f"char {cid} of {g.describe()}, n={n}, |c_n|={abs(coeffs[n]):.3g}",
-            )
-    deg, roots = g._roots_table(min(bound - 1, n_max), budget)[cid]
-    lp = g._lpolys[cid, n_max] = LPolynomial(cid, tuple(coeffs), bound, deg, tuple(roots))
+    coeffs, first_big = _coeff_table(g, n_max, budget)
+    n = first_big[cid]
+    if n <= n_max:
+        raise IdentityCheckError(
+            "L-polynomial coefficient above the degree bound",
+            counterexample=f"char {cid} of {g.describe()}, n={n}, |c_n|={abs(coeffs[cid][n]):.3g}",
+        )
+    degs, _, roots = _roots_table(g, min(bound - 1, n_max), budget)
+    lp = g._lpolys[cid, n_max] = LPolynomial(cid, tuple(coeffs[cid]), bound, degs[cid], roots[cid])
     return lp
 
 
@@ -486,58 +537,67 @@ def _stacked_roots(P: np.ndarray) -> np.ndarray:
 
 def rh_check(char: HayesCharacter, n_max: int | None = None, budget: int = 1_200_000):
     """Root moduli of L(z, lambda): each must be 1 or q^(-1/2) within
-    tolerance.  Returns (root, modulus, label) rows; any FAIL raises."""
+    tolerance.  Returns (root, modulus, label) rows; any FAIL raises.  The
+    roots come from the group's roots table; abs of a Python complex is abs
+    of the numpy scalar, bit for bit."""
     if char.is_principal:
         raise ValueError("rh_check applies to non-principal characters")
     g = char.group
     if n_max is None:
         n_max = g.l + g.m + 2
-    lp = l_polynomial(char, n_max, budget=budget)
-    q = g.ctx.q
-    rows = []
-    bad = None
-    for r in lp.roots:
+    q, rows = g.ctx.q, []
+    for r in map(complex, l_polynomial(char, n_max, budget=budget).roots):
         mod = abs(r)
-        if abs(mod - 1) < ROOT_TOL:
-            label = "1"
-        elif abs(mod - q**-0.5) < ROOT_TOL:
-            label = "q^-1/2"
-        else:
-            label = "FAIL"
-            bad = (r, mod)
-        rows.append((complex(r), float(mod), label))
-    if bad is not None:
+        label = "1" if abs(mod - 1) < ROOT_TOL else "q^-1/2" if abs(mod - q**-0.5) < ROOT_TOL else "FAIL"
+        rows.append((r, mod, label))
+    bad = [row for row in rows if row[2] == "FAIL"]
+    if bad:
         raise IdentityCheckError(
             "L-polynomial root modulus violates the Riemann hypothesis bound",
-            counterexample=f"char {char.char_id} of {g.describe()}, root={bad[0]:.6g}, |root|={bad[1]:.9f}",
+            counterexample=f"char {char.char_id} of {g.describe()}, root={bad[-1][0]:.6g}, |root|={bad[-1][1]:.9f}",
         )
     return rows
+
+
+@_kept
+def _euler_table(g: HayesGroup, n_max: int, budget: int):
+    """Residuals |s_n - [z^n] 1/L| and Mobius-twisted sums s_n, n <= n_max,
+    by char id, and the first n with a residual of VANISH_TOL or more.
+    inv_n = -(0 + c_1 inv_(n-1) + ... + c_D inv_(n-D)) runs on (real, imag)
+    rows as a Python complex computes, (a + bi)(x + yi) = (ax + (-b)y,
+    ay + bx); the c_k past a degree and inv_m, m < 0, are 0 and add zeros
+    to a sum that is never -0.0, so each row is bit for bit its own."""
+    bound = g.l + g.m
+    degs, roots, _ = _roots_table(g, bound - 1, budget)
+    T, D = g.char_sum_table(max(n_max, bound), budget=budget), roots.shape[1]
+    c = np.where(np.arange(1, D + 1)[:, None] <= degs, T[1 : D + 1, :, 0], 0)
+    re, im = c.real[:, None], np.stack([-c.imag, c.imag], axis=1)
+    inv = np.zeros((n_max + 1 + D, 2, g.order))  # inv_m at row n_max - m
+    inv[n_max, 0] = 1
+    for row in range(n_max - 1, -1, -1):
+        v, acc = inv[row + 1 : row + 1 + D], 0.0  # inv_(n-1), ..., inv_(n-D)
+        for p in re * v + im * v[:, ::-1]:
+            acc = acc + p
+        inv[row] = -acc
+    s, inv = T[: n_max + 1, :, 1], inv[n_max::-1]
+    resid = np.hypot(s.real - inv[:, 0], s.imag - inv[:, 1])
+    return resid.T.tolist(), s.T.tolist(), _first_true(resid >= VANISH_TOL)
 
 
 def euler_inverse_check(char: HayesCharacter, n_max: int, budget: int = 1_200_000):
     """Compare coefficients of 1/L(z, lambda) with the Mobius-twisted sums
     over A_n.  Returns (n, residual, mu_sum) rows; a residual of VANISH_TOL
     or more raises."""
-    g = char.group
-    lp = l_polynomial(char, max(n_max, g.l + g.m), budget=budget)
-    c = lp.coeffs[: lp.degree + 1]
-    inv = [1 + 0j]
-    for n in range(1, n_max + 1):
-        acc = 0j
-        for k in range(1, min(n, lp.degree) + 1):
-            acc += c[k] * inv[n - k]
-        inv.append(-acc)
-    mu_sums = g.char_sum_table(n_max, budget=budget)[:, char.char_id, 1].tolist()
-    rows = []
-    for n, s in enumerate(mu_sums):
-        resid = abs(s - inv[n])
-        if resid >= VANISH_TOL:
-            raise IdentityCheckError(
-                "1/L series coefficient disagrees with enumeration",
-                counterexample=f"char {char.char_id} of {g.describe()}, n={n}, residual={resid:.3g}",
-            )
-        rows.append((n, resid, s))
-    return rows
+    g, cid = char.group, char.char_id
+    l_polynomial(char, max(n_max, g.l + g.m), budget=budget)
+    resid, sums, first = _euler_table(g, n_max, budget)
+    n = first[cid]
+    if n <= n_max:
+        raise IdentityCheckError(
+            "1/L series coefficient disagrees with enumeration",
+            counterexample=f"char {cid} of {g.describe()}, n={n}, residual={resid[cid][n]:.3g}",
+        )
+    return list(zip(range(n_max + 1), resid[cid], sums[cid]))
 
 
 def principal_check(ctx: FieldCtx, Q: Poly, n_max: int, budget: int = 1_200_000):
@@ -550,7 +610,7 @@ def principal_check(ctx: FieldCtx, Q: Poly, n_max: int, budget: int = 1_200_000)
         raise BudgetExceeded(q**n_max, budget, "principal sweep")
     # integer series expansion
     series = ([1, -q] + [0] * n_max)[: n_max + 1]
-    for d in [int(p.deg) for p, _ in factorize(Q).factors]:
+    for d in [int(p.deg) for p, _ in _factors(ctx, Q.code)]:
         for n in range(d, n_max + 1):  # multiply by 1/(1 - z^d) = sum z^(kd)
             series[n] += series[n - d]
     sieve = _sieve.get_sieve(ctx, max(n_max, 1))
@@ -578,10 +638,30 @@ def _coprime_residue_mask(ctx: FieldCtx, Q: Poly) -> np.ndarray:
         m = int(Q.deg)
         tab = np.ones(ctx.q**m, dtype=bool)
         digits = _sieve.codes_to_digits(ctx, np.arange(ctx.q**m), m)
-        for P, _ in factorize(Q).factors:
+        for P, _ in _factors(ctx, Q.code):
             tab &= fq_matmul(ctx, digits, _tmod_rows(ctx, P, m - 1)).any(axis=1)
         _COPRIME_MASKS[key] = tab
     return _COPRIME_MASKS[key]
+
+
+@_kept
+def _power_sum_table(g: HayesGroup, l_max: int, budget: int):
+    """Lambda-twisted sums a_l by char id; rhs = -sum of alpha^l over the
+    inverse roots and |a_l - rhs| as numpy scalars, l_max per char id; the
+    first l - 1 with a residual of VANISH_TOL or more.  Array 1/r and
+    np.power make the numpy-scalar values, and each sum runs in root order
+    from 0, as sum() does."""
+    degs, roots, _ = _roots_table(g, g.l + g.m - 1, budget)
+    present = np.arange(roots.shape[1])[:, None] < degs
+    alpha = 1 / np.where(present, roots.T, 1)
+    powers = np.where(present[:, None], np.power(alpha[:, None], np.arange(1, l_max + 1)[:, None]), 0)
+    acc = np.zeros((l_max, g.order), dtype=complex)
+    for p in powers:
+        acc = acc + p
+    lhs = g.char_sum_table(l_max, budget=budget)[1:, :, 2]
+    d = lhs + acc  # lhs - rhs
+    resid = np.hypot(d.real, d.imag)
+    return lhs.T.tolist(), list((-acc).T.ravel()), list(resid.T.ravel()), _first_true(resid >= VANISH_TOL)
 
 
 def log_deriv_check(char: HayesCharacter, l_max: int, budget: int = 1_200_000):
@@ -590,22 +670,19 @@ def log_deriv_check(char: HayesCharacter, l_max: int, budget: int = 1_200_000):
     a residual of VANISH_TOL or more raises."""
     if char.is_principal:
         raise ValueError("log_deriv_check applies to non-principal characters")
-    g = char.group
-    lp = l_polynomial(char, g.l + g.m + 1, budget=budget)
-    alphas = lp.inverse_roots()
-    mangoldt_sums = g.char_sum_table(l_max, budget=budget)[:, char.char_id, 2].tolist()
-    rows = []
-    for l in range(1, l_max + 1):
-        lhs = mangoldt_sums[l]
-        rhs = -sum(a**l for a in alphas) if alphas else 0j
-        resid = abs(lhs - rhs)
-        if resid >= VANISH_TOL:
-            raise IdentityCheckError(
-                "log-derivative power sums disagree",
-                counterexample=f"char {char.char_id} of {g.describe()}, l={l}, residual={resid:.3g}",
-            )
-        rows.append((l, lhs, rhs, resid))
-    return rows
+    g, cid = char.group, char.char_id
+    deg = l_polynomial(char, g.l + g.m + 1, budget=budget).degree
+    lhs, rhs, resid, first = _power_sum_table(g, l_max, budget)
+    rhs, resid = rhs[cid * l_max : (cid + 1) * l_max], resid[cid * l_max : (cid + 1) * l_max]
+    if not deg:  # the empty sum is 0j, and abs of a Python complex a float
+        rhs, resid = [0j] * l_max, [float(r) for r in resid]
+    j = first[cid]
+    if j < l_max:
+        raise IdentityCheckError(
+            "log-derivative power sums disagree",
+            counterexample=f"char {cid} of {g.describe()}, l={j + 1}, residual={resid[j]:.3g}",
+        )
+    return list(zip(range(1, l_max + 1), lhs[cid], rhs, resid))
 
 
 def char_sum_exponent_report(groups, d_max: int, budget: int = 1_200_000):

@@ -568,7 +568,7 @@ def test_config_unlisted_choice_names_the_key(args, key, value, tmp_path, capsys
     (["rank-stats", "--field", "2", "--n", "3", "--k", "2", "--mode", "sampled", "--samples", "0"],
      "--samples 0 must be >= 1 in sampled mode"),
     (["rank-stats", "--field", "2", "--n", "3", "--k", "2", "--mode", "sampled", "--samples", "20",
-      "--budget", "10"], "rank_stats samples needs budget >= 20, configured 10"),
+      "--budget", "10"], "--budget 10: rank_stats samples needs budget >= 20, configured 10"),
     (["rank-stats", "--field", "3", "--n", "45", "--k", "40", "--mode", "sampled", "--samples", "2"],
      "--k 40 must keep 3^41 <= 2^63 in sampled mode"),
     (["vaughan-audit", "--field", "2", "--n", "4", "--u", "3", "--v", "3"], "--u 3 + --v 3 must be < --n 4"),
@@ -595,6 +595,52 @@ def test_bad_value_names_the_flag(args, message, capsys):
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+# one refusal by --budget per subcommand that refuses (pnt, mobius-sums and
+# divisor-moments stop at the budget instead)
+BUDGET_REFUSALS = [
+    (["hayes-lfunc", "--l", "2", "--Q", "1,0,1", "--budget", "10"], "Hayes group needs budget >= 72"),
+    (["rh-check", "--l", "1", "--Q", "1,1", "--budget", "10"], "A_n class sweep needs budget >= 27"),
+    (["euler-check", "--l", "1", "--Q", "1,1", "--nmax", "9"], "A_n class sweep needs budget >= 243"),
+    (["principal-check", "--Q", "1,1", "--nmax", "9"], "principal sweep needs budget >= 19683"),
+    (["logderiv-check", "--l", "1", "--Q", "1,1", "--lmax", "9"], "A_n class sweep needs budget >= 243"),
+    (["linear-corr", "--n", "9"], "correlation sweep needs budget >= 19683"),
+    (["quad-corr", "--n", "9"], "correlation sweep needs budget >= 19683"),
+    (["hankel-corr", "--n", "9"], "correlation sweep needs budget >= 19683"),
+    (["vaughan-audit", "--n", "9", "--u", "2", "--v", "2"], "vaughan sweep needs budget >= 19683"),
+    (["gauss-sums", "--n", "9"], "F_q^n sweep needs budget >= 19683"),
+    (["isotropic", "--n", "9", "--r", "1"], "F_p^n sweep needs budget >= 19683"),
+    (["rank-stats", "--n", "3", "--k", "2", "--budget", "10"], "rank_stats pairs needs budget >= 729"),
+    (["exponent-sweep", "--experiment", "linear", "--nmin", "2", "--nmax", "9"], "sweep at n=5 needs budget >= 243"),
+]
+
+
+@pytest.mark.parametrize("args, message", BUDGET_REFUSALS, ids=[a[0] for a, _ in BUDGET_REFUSALS])
+def test_budget_refusal_names_the_flag(args, message, capsys):
+    import ffmobius.cli as cli
+
+    budget = args[args.index("--budget") + 1] if "--budget" in args else "100"
+    argv = args[:1] + ["--field", "3"] + args[1:] + ([] if "--budget" in args else ["--budget", budget])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --budget {budget}: {message}, configured {budget}\n"
+    assert captured.out == ""
+
+
+def test_internal_cap_keeps_its_text(monkeypatch, capsys):
+    # a cap of the library's own, such as the int32 product offsets of the
+    # sieve, is not the --budget flag
+    import ffmobius.cli as cli
+    from ffmobius.errors import BudgetExceeded
+
+    def refuse(ctx, cfg, rng):
+        raise BudgetExceeded(2**31, 2**31 - 1, "int32 product offsets of degree 40")
+
+    monkeypatch.setitem(cli.SUBCOMMANDS, "pnt", (refuse, ("lmax",)))
+    assert cli.main(["pnt", "--field", "2"]) == 2
+    want = f"error: int32 product offsets of degree 40 needs budget >= {2**31}, configured {2**31 - 1}\n"
+    assert capsys.readouterr().err == want
 
 
 @pytest.mark.parametrize("args", [

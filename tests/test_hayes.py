@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import pathlib
 import subprocess
@@ -490,6 +491,7 @@ def test_stacked_dots_match_row_dots():
             bits = [np.ascontiguousarray(getattr(x, part)).view(np.uint64) for x in (got, want)]
             assert np.array_equal(*bits), (L, part)
 
+
 def test_hayes_survey_script_smoke(tmp_path):
     script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "hayes_survey.py"
     res = subprocess.run(
@@ -745,3 +747,202 @@ def test_principal_check_of_non_monic_modulus(ps, Qtext):
     Q = P(ctx, Qtext)
     assert not Q.is_monic()
     assert principal_check(ctx, Q, 4) == principal_check(ctx, Q.monic()[1], 4)
+
+
+# -- the per-character route: the oracle of the group passes ------------------------
+#
+# Each check computed one character at a time on Python complexes and numpy
+# scalars, as the library did before it ran each check for every character
+# of a group in one array pass; the passes must reproduce these values and
+# their types bit for bit, and raise at the same characters with the same
+# messages.
+
+
+def oracle_l_polynomial(char, n_max):
+    g, cid = char.group, char.char_id
+    bound = g.l + g.m
+    coeffs = g.char_sum_table(n_max)[:, cid, 0].tolist()
+    for n in range(bound, n_max + 1):
+        if abs(coeffs[n]) >= hayes.VANISH_TOL:
+            raise IdentityCheckError(
+                "L-polynomial coefficient above the degree bound",
+                counterexample=f"char {cid} of {g.describe()}, n={n}, |c_n|={abs(coeffs[n]):.3g}",
+            )
+    deg = max([k for k in range(1, min(bound - 1, n_max) + 1) if abs(coeffs[k]) > hayes.VANISH_TOL], default=0)
+    return hayes.LPolynomial(cid, tuple(coeffs), bound, deg, oracle_roots(tuple(coeffs[: deg + 1])))
+
+
+@functools.lru_cache(maxsize=4096)
+def oracle_roots(coeffs):
+    return tuple(np.roots(np.array(coeffs[::-1], dtype=complex)))
+
+
+def oracle_rh_check(char, n_max):
+    g = char.group
+    rows, bad = [], None
+    for r in oracle_l_polynomial(char, n_max).roots:
+        mod = abs(r)
+        if abs(mod - 1) < hayes.ROOT_TOL:
+            label = "1"
+        elif abs(mod - g.ctx.q**-0.5) < hayes.ROOT_TOL:
+            label = "q^-1/2"
+        else:
+            label, bad = "FAIL", (r, mod)
+        rows.append((complex(r), float(mod), label))
+    if bad is not None:
+        raise IdentityCheckError(
+            "L-polynomial root modulus violates the Riemann hypothesis bound",
+            counterexample=f"char {char.char_id} of {g.describe()}, root={bad[0]:.6g}, |root|={bad[1]:.9f}",
+        )
+    return rows
+
+
+def oracle_euler_inverse_check(char, n_max):
+    g = char.group
+    lp = oracle_l_polynomial(char, max(n_max, g.l + g.m))
+    c = lp.coeffs[: lp.degree + 1]
+    inv = [1 + 0j]
+    for n in range(1, n_max + 1):
+        acc = 0j
+        for k in range(1, min(n, lp.degree) + 1):
+            acc += c[k] * inv[n - k]
+        inv.append(-acc)
+    rows = []
+    for n, s in enumerate(g.char_sum_table(n_max)[:, char.char_id, 1].tolist()):
+        resid = abs(s - inv[n])
+        if resid >= hayes.VANISH_TOL:
+            raise IdentityCheckError(
+                "1/L series coefficient disagrees with enumeration",
+                counterexample=f"char {char.char_id} of {g.describe()}, n={n}, residual={resid:.3g}",
+            )
+        rows.append((n, resid, s))
+    return rows
+
+
+def oracle_log_deriv_check(char, l_max):
+    g = char.group
+    alphas = [1 / r for r in oracle_l_polynomial(char, g.l + g.m + 1).roots]
+    mangoldt_sums = g.char_sum_table(l_max)[:, char.char_id, 2].tolist()
+    rows = []
+    for l in range(1, l_max + 1):
+        lhs = mangoldt_sums[l]
+        rhs = -sum(a**l for a in alphas) if alphas else 0j
+        resid = abs(lhs - rhs)
+        if resid >= hayes.VANISH_TOL:
+            raise IdentityCheckError(
+                "log-derivative power sums disagree",
+                counterexample=f"char {char.char_id} of {g.describe()}, l={l}, residual={resid:.3g}",
+            )
+        rows.append((l, lhs, rhs, resid))
+    return rows
+
+
+CHECKS = [(l_polynomial, oracle_l_polynomial), (rh_check, oracle_rh_check),
+          (euler_inverse_check, oracle_euler_inverse_check), (log_deriv_check, oracle_log_deriv_check)]
+
+
+def outcome(check, char, n):
+    """repr of check(char, n), or the message it raises."""
+    try:
+        return repr(check(char, n))
+    except IdentityCheckError as exc:
+        return f"raises {exc}"
+
+
+def survey_groups(ctx, degs, budget=1000):
+    for l in range(3):
+        for m in degs:
+            for code in range(ctx.q**m, 2 * ctx.q**m):
+                try:
+                    yield build_group(ctx, l, Poly.from_code(ctx, code), budget=budget)
+                except BudgetExceeded:
+                    continue
+
+
+@pytest.mark.parametrize("ps, degs", [((2, 1), range(4)), ((3, 1), range(4)), ((2, 2), range(3)), ((2, 2), [3])],
+                         ids=["q=2", "q=3", "q=4", "q=4,deg=3"])
+def test_group_passes_match_per_character_route(ps, degs):
+    # every non-principal character of every group with l <= 2, deg Q <= 3
+    # and order <= 1000 (at q = 4, deg Q = 3 alone has 172 groups and 44180
+    # characters): each check's value, float bits and scalar types included
+    # (repr), at three lengths
+    ctx = get_field(*ps)
+    for g in survey_groups(ctx, degs):
+        chars = [c for c in g.characters() if not c.is_principal]
+        for n in (g.l + g.m + 1, g.l + g.m + 2, g.l + g.m + 4):
+            for check, oracle in CHECKS:
+                got, want = ([outcome(f, char, n) for char in chars] for f in (check, oracle))
+                assert got == want, (g.describe(), n, check.__name__)
+
+
+@pytest.mark.parametrize("w, check, oracle", [(1, euler_inverse_check, oracle_euler_inverse_check),
+                                              (2, log_deriv_check, oracle_log_deriv_check)],
+                         ids=["mu", "Lambda"])
+@pytest.mark.parametrize("case", SMALL_GROUPS[:5], ids=lambda c: "q={}^{},l={},Q={}".format(*c[0], *c[1:]))
+def test_one_moved_weight_breaks_exactly_the_characters_it_moves(case, w, check, oracle):
+    # one unit of the mu (or Lambda) weight of A_n moved from class x to
+    # class y changes the sum of lambda by lambda(y) - lambda(x): exactly the
+    # characters with lambda(x) != lambda(y) fail, each at its own call,
+    # with the per-character route's message, and again on a second call
+    g, x = small_group(*case), 1
+    n = g.l + g.m
+    weights = g.class_weights(n)[w]
+    y = next(y for y in range(2, g.order) if weights[y])
+    weights[x] += 1
+    weights[y] -= 1
+    broken = set()
+    for char in g.characters():
+        if char.is_principal:
+            continue
+        want = outcome(oracle, char, n + 1)
+        for _ in range(2):
+            assert outcome(check, char, n + 1) == want, char.char_id
+        if want.startswith("raises"):
+            broken.add(char.char_id)
+    moved = {c.char_id for c in g.characters() if c.exponent_on_index(x) != c.exponent_on_index(y)}
+    assert broken == moved and moved
+
+
+def test_rh_failures_match_per_character_route(monkeypatch, F3):
+    # with a root tolerance too tight for rounded moduli, most roots fail:
+    # the message names each character's last root, as the per-character route
+    monkeypatch.setattr(hayes, "ROOT_TOL", 1e-300)
+    for g in (build_group(F3, 1, P(F3, "1,1")), build_group(F3, 2, P(F3, "0,1"))):
+        chars = [c for c in g.characters() if not c.is_principal]
+        want = [outcome(oracle_rh_check, char, g.l + g.m + 2) for char in chars]
+        assert sum(w.startswith("raises") for w in want) > len(chars) // 2
+        for _ in range(2):
+            assert [outcome(rh_check, char, g.l + g.m + 2) for char in chars] == want
+
+
+def test_array_routes_match_scalar_arithmetic():
+    # the group passes compute on arrays what the per-character route
+    # computed on Python complexes and numpy scalars; each array route must
+    # make the same floats bit for bit, signed zeros, subnormals and
+    # overflow included, so a numpy whose SIMD loops round otherwise fails
+    # here (numpy's array complex *, **2 and abs do not qualify)
+    rng = np.random.default_rng(2025)
+    size = 3000
+    scale = 10.0 ** rng.choice([-150, -3, 0, 0, 0, 2, 150], (2, size))
+    z = np.empty(size, dtype=complex)
+    z.real, z.imag = rng.standard_normal((2, size)) * scale
+    z.real[:40], z.imag[20:60] = 0.0, -0.0
+    z.real[40:80], z.imag[60:100] = -0.0, 0.0
+    z.real[100:140] = 5e-324 * rng.integers(1, 2**20, 40)
+    z.imag[120:160] = -2.2e-308 * rng.random(40)
+    w = z[rng.permutation(size)]
+
+    def same(got, want):  # bit for bit, as complex128
+        got, want = (np.asarray(x, dtype=complex) for x in (got, want))
+        bits = [np.ascontiguousarray(x.view(float)).view(np.uint64) for x in (got, want)]
+        return np.array_equal(*bits)
+
+    with np.errstate(all="ignore"):
+        pairs = [complex(a) * complex(b) for a, b in zip(z, w)]  # Python complex multiply
+        assert same(z.real * w.real + (-z.imag) * w.imag, [c.real for c in pairs])
+        assert same(z.real * w.imag + z.imag * w.real, [c.imag for c in pairs])
+        mags = np.hypot(z.real, z.imag)
+        assert same(mags, [abs(complex(c)) for c in z]) and same(mags, [abs(c) for c in z])
+        assert same(1 / z, [1 / c for c in z])
+        ls = np.arange(1, 9)[:, None]
+        assert same(np.power(z, ls), [[c**l for c in z] for l in range(1, 9)])

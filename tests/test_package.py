@@ -57,14 +57,33 @@ def test_cli_run_starts_no_thread_pool(tmp_path):
 
 def test_benchmark_bound_signatures():
     # perfbench/child.py binds these: it unpacks exactly these seven bound
-    # parameters of phase_hist and passes workers= to the three drivers
-    from ffmobius import correlations
+    # parameters of phase_hist and passes workers= to the three drivers.
+    # Its Hayes runner calls the six Hayes functions with these leading
+    # parameters, and perfbench/tracing.py wraps or reads the last three
+    # Hayes names: a traced run would raise AttributeError without them
+    from ffmobius import correlations, hayes
 
     params = list(inspect.signature(correlations.phase_hist).parameters)
     assert params == ["ctx", "phase", "ncoords", "lo", "hi", "weights", "workers"]
     for fn in (correlations.exponent_sweep, correlations.vaughan_decompose,
                correlations.type_one_mean_square):
         assert "workers" in inspect.signature(fn).parameters, fn.__name__
+    assert issubclass(hayes.BudgetExceeded, Exception)
+    calls = {
+        hayes.build_group: ["ctx", "l", "Q", "budget"],
+        hayes.l_polynomial: ["char", "n_max"],
+        hayes.rh_check: ["char"],
+        hayes.euler_inverse_check: ["char", "n_max"],
+        hayes.log_deriv_check: ["char", "l_max"],
+        hayes.principal_check: ["ctx", "Q", "n_max"],
+    }
+    for fn, names in calls.items():
+        params = inspect.signature(fn).parameters
+        assert list(params)[: len(names)] == names, fn.__name__
+        rest = [p for name, p in params.items() if name not in names]
+        assert all(p.default is not p.empty for p in rest), fn.__name__
+    assert callable(hayes.HayesGroup.class_weights) and callable(hayes.residues_mod)
+    assert isinstance(hayes._COPRIME_MASKS, dict)
 
 
 def test_readme_quick_tour_runs():
