@@ -15,9 +15,13 @@ F_p-bilinear and the trace F_p-linear, the exponent is a quadratic form
 over F_p in the N = s n base-p digits of a code (fields.digit_form).
 `Phase.form` builds it once per number of coordinates (`PhaseForm`) and
 checks it against the phase's own `exponents` at codes that determine a
-quadratic form, which makes the check an exact second route for every
-phase kind at every p; `phase_hist` then evaluates whole code ranges with
-one matrix product per chunk and takes the histogram with a bincount.
+quadratic form (built once per (p, N), `_check_set`), which makes the
+check an exact second route for every phase kind at every p: the
+exponents take the coefficients of each pair of coordinates straight from
+the MUL and TRACE tables (`_pair_trace_sum`), never through the Hankel
+matrix, the digit form or MULMAT.  `phase_hist` then evaluates whole code
+ranges with one matrix product per chunk and takes the histogram with a
+bincount.
 The Gauss sums of a quadratic phase (gauss_mean) and the common zeros of
 pure forms (isotropic_count) run on the same kernel and its compiled forms.
 The Vaughan type I / type II sums need Phi(d w) over w for many d; since
@@ -33,6 +37,7 @@ linear_corr exactly and without a second kernel pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import log
 
 import numpy as np
@@ -106,19 +111,15 @@ class LinearPhase(Phase):
     def quad_data(self, ncoords: int) -> tuple:
         """M = 0 and b_i = alpha_(-1-i)."""
         self.require_prec(ncoords)
-        b = [self.alpha.coefficient(-1 - i) for i in range(ncoords)]
-        return np.zeros((ncoords, ncoords), dtype=np.int64), b, 0, 1
+        return np.zeros((ncoords, ncoords), dtype=np.int64), self.alpha.frac_coeffs(ncoords), 0, 1
 
     def exponents(self, ncoords: int, codes: np.ndarray) -> np.ndarray:
-        ctx, q = self.ctx, self.ctx.q
+        """sum_i Tr(alpha_(-1-i) f_i) on the coefficients f_i of each code,
+        by the MUL and TRACE tables alone: _pair_trace_sum over the pairs
+        (f_i, 1)."""
         self.require_prec(ncoords)
-        acc = np.zeros(len(codes), dtype=np.int64)
-        for i in range(ncoords):
-            a = self.alpha.coefficient(-1 - i)
-            if a:
-                tab = ctx.TRACE[ctx.MUL[a]]
-                acc += tab[(codes // q**i) % q]
-        return acc % ctx.p
+        return _pair_trace_sum(self.ctx, codes, ncoords, np.arange(ncoords),
+                               np.full(ncoords, ncoords), self.alpha.frac_coeffs(ncoords))
 
     def descriptor(self) -> str:
         return f"linear:{self.alpha.format()}"
@@ -146,23 +147,20 @@ class QuadraticPhase(Phase):
         TRACE tables alone (not by the digit form): with x' = (x, 1),
         Q(x) = x'^T M' x' for M' = [[M, 0], [b, c]], and the trace is
         F_p-linear, so the exponent is sum Tr(r M'_ij x'_i x'_j) mod p."""
-        ctx, qp, q = self.ctx, self.qp, self.ctx.q
+        ctx, qp = self.ctx, self.qp
         self.require_prec(ncoords)
-        X = np.ones((len(codes), ncoords + 1), dtype=np.int64)
-        X[:, :-1] = codes[:, None] // q ** np.arange(ncoords) % q
         Mx = np.zeros((ncoords + 1, ncoords + 1), dtype=np.int64)
         Mx[:-1, :-1], Mx[-1, :-1], Mx[-1, -1] = qp.M, qp.b, qp.c
-        k = (ncoords + 1) ** 2
-        T = ctx.TRACE[ctx.MUL[ctx.MUL[qp.r][Mx]]].ravel()  # y -> Tr(r M'_ij y) at ij q + y
-        XX = (X[:, :, None] * q + X[:, None, :]).reshape(len(codes), k)  # MUL index of x'_i x'_j
-        return T[ctx.MUL.ravel()[XX] + np.arange(0, k * q, q)].sum(axis=1) % ctx.p
+        I, J = np.indices(Mx.shape).reshape(2, -1)
+        return _pair_trace_sum(ctx, codes, ncoords, I, J, ctx.MUL[qp.r][Mx].ravel())
 
     def descriptor(self) -> str:
         return f"quadratic:{self.qp.describe()}"
 
 
 class HankelPhase(Phase):
-    """Phi(f) = e(alpha f^2 + beta f), evaluated by squaring f.
+    """Phi(f) = e(alpha f^2 + beta f), evaluated on its own terms from the
+    coefficients of alpha f^2 pair by pair (`exponents`).
 
     beta = None means an exactly zero linear part."""
 
@@ -187,37 +185,48 @@ class HankelPhase(Phase):
         is sum_(i,j) alpha_(-1-i-j) f_i f_j = x^T M x in every characteristic
         (at p = 2 the pairs i != j cancel, leaving sum alpha_(-1-2i) f_i^2)."""
         self.require_prec(ncoords)
-        b = [self.beta.coefficient(-1 - i) if self.beta is not None else 0 for i in range(ncoords)]
+        b = self.beta.frac_coeffs(ncoords) if self.beta is not None else np.zeros(ncoords, dtype=np.int64)
         return hankel_matrix(self.alpha, ncoords), b, 0, 1
 
     def exponents(self, ncoords: int, codes: np.ndarray) -> np.ndarray:
-        ctx, p = self.ctx, self.ctx.p
-        self.require_prec(ncoords)
-        X = _sieve.codes_to_digits(ctx, codes, ncoords)
-        wid = max(2 * ncoords - 1, 0)
-        # digits of f^2 by convolution of f with itself
-        S = np.zeros((len(codes), wid), dtype=np.int16)
-        for i in range(ncoords):
-            S[:, 2 * i] = ctx.ADD[S[:, 2 * i], ctx.MUL[X[:, i], X[:, i]]]
-            if p != 2:  # the cross terms 2 f_i f_j, j > i, land on i + j
-                cross = ctx.MUL[X[:, i : i + 1], X[:, i + 1 :]]
-                span = slice(2 * i + 1, i + ncoords)
-                S[:, span] = ctx.ADD[S[:, span], ctx.ADD[cross, cross]]
-        acc = np.zeros(len(codes), dtype=np.int64)
-        for k in range(wid):
-            a = self.alpha.coefficient(-1 - k)
-            if a:
-                acc += ctx.TRACE[ctx.MUL[a]][S[:, k]]
+        """Tr((alpha f^2 + beta f)_(-1)) on the coefficients f_i of each code,
+        by the MUL and TRACE tables alone (not by hankel_matrix or the digit
+        form).  (alpha f^2)_(-1) is the sum over i <= j of
+        alpha_(-1-i-j) f_i f_j, doubled for i < j (the cross terms
+        2 f_i f_j, which vanish at p = 2, where only the diagonal is read),
+        and (beta f)_(-1) is the sum of beta_(-1-i) f_i over the pairs
+        (f_i, 1); the trace is additive, so the exponent is one
+        _pair_trace_sum over all these pairs."""
+        ctx, n = self.ctx, ncoords
+        self.require_prec(n)
+        if ctx.p != 2:
+            J, I = np.nonzero(np.tri(n, dtype=bool))  # the pairs i <= j
+        else:
+            I = J = np.arange(n)
+        a = self.alpha.frac_coeffs(max(2 * n - 1, 0))[I + J]
+        coeffs = np.where(I == J, a, ctx.ADD[a, a])
         if self.beta is not None:
-            for i in range(ncoords):
-                b = self.beta.coefficient(-1 - i)
-                if b:
-                    acc += ctx.TRACE[ctx.MUL[b]][X[:, i]]
-        return acc % p
+            I, J = np.concatenate((I, np.arange(n))), np.concatenate((J, np.full(n, n)))
+            coeffs = np.concatenate((coeffs, self.beta.frac_coeffs(n)))
+        return _pair_trace_sum(ctx, codes, n, I, J, coeffs)
 
     def descriptor(self) -> str:
         bfmt = self.beta.format() if self.beta is not None else "0"
         return f"hankel:{self.alpha.format()}|{bfmt}"
+
+
+def _pair_trace_sum(ctx: FieldCtx, codes: np.ndarray, ncoords: int, I: np.ndarray,
+                    J: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k Tr(coeffs_k x_(I_k) x_(J_k)) mod p at the F_q coordinates
+    x_0, ..., x_(ncoords-1) of each code, with x_ncoords = 1: one gather of
+    the products x_i x_j in the MUL table, then one of the rows
+    y -> Tr(coeffs_k y) of the MUL and TRACE tables."""
+    q = ctx.q
+    X = np.ones((len(codes), ncoords + 1), dtype=np.int64)
+    X[:, :-1] = codes[:, None] // q ** np.arange(ncoords) % q
+    products = ctx.MUL.ravel()[(X * q)[:, I] + X[:, J]]
+    T = ctx.TRACE[ctx.MUL[coeffs]].ravel()  # Tr(coeffs_k y) at k q + y
+    return T[products + q * np.arange(len(coeffs))].sum(axis=1) % ctx.p
 
 
 # -- compiled forms and the histogram kernel ---------------------------------------
@@ -229,6 +238,21 @@ def _digit_rows(codes: np.ndarray, units: np.ndarray, p: int) -> np.ndarray:
     floors are the integer quotients."""
     F = np.floor(codes[:, None] / units)
     return F[:, :-1] - p * F[:, 1:]
+
+
+@lru_cache(maxsize=32)
+def _check_set(p: int, N: int) -> tuple:
+    """The codes at which PhaseForm.compile checks a form on N base-p
+    digits, and their float64 digit rows, built once per (p, N) and
+    read-only: they depend on nothing else."""
+    P = p**N
+    units = p ** np.arange(N, dtype=np.int64)
+    check = [v * ((P - 1) // (p - 1)) for v in range(1, p)]
+    check += [(k * 0x9E3779B97F4A7C15 + 0x632BE5AB) % P for k in range(16)]
+    codes = np.concatenate(([0], units, (units[:, None] + units).ravel(), check)).astype(np.int64)
+    rows = _digit_rows(codes.astype(np.float64), float(p) ** np.arange(N + 1), p)
+    codes.flags.writeable = rows.flags.writeable = False
+    return codes, rows
 
 
 class PhaseForm:
@@ -245,33 +269,30 @@ class PhaseForm:
         c, made upper triangular mod p: A_kl + A_lk above the diagonal, and
         at p = 2, where y^2 = y, the diagonal folded into b.  That form of
         a quadratic function on F_p^N is unique."""
-        p = ctx.p
+        p, N = ctx.p, A.shape[-1]
         diag = np.diagonal(A, axis1=1, axis2=2)
         if p == 2:
-            b, diag = b + diag, 0 * diag
-        A = np.triu(A + A.swapaxes(1, 2), 1) + diag[:, :, None] * np.eye(A.shape[-1])
-        self.ctx, self.p, self.N = ctx, p, b.shape[-1]
-        self.A, self.b, self.c = A % p, (b % p).astype(np.float64), c
+            b, diag = b + diag, 0
+        A = (A + A.swapaxes(1, 2)) * np.less_equal.outer(np.arange(N), np.arange(N))
+        A.reshape(len(A), N * N)[:, :: N + 1] = diag  # the diagonal, a view
+        self.ctx, self.p, self.N = ctx, p, N
+        self.A, self.b, self.c = (A % p).astype(np.float64, copy=False), (b % p).astype(np.float64), c
         self.units = float(p) ** np.arange(self.N + 1)
 
     @classmethod
     def compile(cls, phase: Phase, ncoords: int) -> "PhaseForm":
         """The digit_form of phase.quad_data(ncoords) as a stack of one,
-        checked against phase.exponents at the codes 0, p^k and p^k + p^l
-        for all (k, l) (the diagonal is 2 p^k), the repunits
-        v (p^N - 1)/(p - 1) and 16 hashed codes.  The values at the digit
-        vectors 0, e_k and e_k + e_l determine a quadratic form, so the
-        check is exact whenever the exponents are one; the repunit and
+        checked against phase.exponents at the check codes of _check_set:
+        0, p^k and p^k + p^l for all (k, l) (the diagonal is 2 p^k), the
+        repunits v (p^N - 1)/(p - 1) and 16 hashed codes.  The values at the
+        digit vectors 0, e_k and e_k + e_l determine a quadratic form, so
+        the check is exact whenever the exponents are one; the repunit and
         hashed codes catch exponents that are not.  A mismatch raises
         IdentityCheckError with the first code that differs."""
         A, b, c = digit_form(phase.ctx, *phase.quad_data(ncoords))
         form = cls(phase.ctx, A[None], b[None], c)
-        p, P = form.p, form.p**form.N
-        units = p ** np.arange(form.N, dtype=np.int64)
-        check = [v * ((P - 1) // (p - 1)) for v in range(1, p)]
-        check += [(k * 0x9E3779B97F4A7C15 + 0x632BE5AB) % P for k in range(16)]
-        codes = np.concatenate(([0], units, (units[:, None] + units).ravel(), check)).astype(np.int64)
-        got, want = form.exponents(codes), phase.exponents(ncoords, codes)
+        codes, rows = _check_set(form.p, form.N)
+        got, want = form._at(rows), phase.exponents(ncoords, codes)
         if (got != want).any():
             j = int(np.nonzero(got != want)[0][0])
             raise IdentityCheckError(
@@ -305,7 +326,10 @@ class PhaseForm:
     def exponents(self, codes: np.ndarray) -> np.ndarray:
         """E at each of the given codes, as residues in [0, p), for a
         compiled form (a stack of one)."""
-        Y = _digit_rows(codes.astype(np.float64), self.units, self.p)
+        return self._at(_digit_rows(codes.astype(np.float64), self.units, self.p))
+
+    def _at(self, Y: np.ndarray) -> np.ndarray:
+        """E at each digit row of Y, as exponents does at their codes."""
         return ((self._quad(Y)[1][0] + self.c) % self.p).astype(np.intp)
 
     def hist(self, lo: int, hi: int, weights: np.ndarray | None, slots: np.ndarray | None = None,
@@ -572,7 +596,8 @@ def hankel_corr(
 ) -> CorrelationReport:
     """sum of mu(f) e(alpha f^2 + beta f) over G_n.  The kernel runs the
     form of the Hankel matrix of alpha (HankelPhase.quad_data), which its
-    compile checks exactly against explicit squaring, at every p."""
+    compile checks exactly, at every p, against HankelPhase.exponents: the
+    coefficients of f^2 taken pair by pair from the MUL and TRACE tables."""
     q = ctx.q
     if q**n > budget:
         raise BudgetExceeded(q**n, budget, "correlation sweep")
@@ -613,7 +638,7 @@ def periodic_corr(ctx: FieldCtx, n: int, l: int, Q: Poly, F, budget: int = 1_200
     weights = np.bincount(keys, weights=mu)  # exact: integers far below 2^53
     lookup = F if callable(F) else F.__getitem__
     total = 0j
-    for key in np.unique(keys[mu != 0]).tolist():
+    for key in sorted(set(keys[mu != 0].tolist())):  # np.unique would import numpy.ma
         residue, h = divmod(key, q**l)
         cls = HayesClass(residue, tuple(h // q**i % q for i in range(l)))
         try:
@@ -639,7 +664,9 @@ def periodic_route_check(ctx: FieldCtx, n: int, alpha: LaurentSeries, budget: in
     q = ctx.q
     if q**n > budget:
         raise BudgetExceeded(q**n, budget, "A_n sweep")
-    exps = LinearPhase(alpha).exponents(n + 1, np.arange(q**n, 2 * q**n, dtype=np.int64))
+    phase = LinearPhase(alpha)  # a span at a time: exponents holds a row of coordinates per code
+    exps = np.concatenate([phase.exponents(n + 1, np.arange(a, min(a + CHUNK, 2 * q**n)))
+                           for a in range(q**n, 2 * q**n, CHUNK)])
     keys = residues_mod(ctx, g, n) * q**l + head_index(ctx, l, n)
     table = np.zeros(q ** (int(g.deg) + l), dtype=np.int64)
     table[keys] = exps
@@ -746,7 +773,7 @@ def _pointwise_audit(ctx, max_deg, u, v, rhs) -> VaughanAudit:
         u=u,
         v=v,
         max_deg=max_deg,
-        fail_degrees=tuple(int(d) for d in np.unique(degrees)),
+        fail_degrees=tuple(sorted(set(degrees.tolist()))),
         failures=tuple(Poly.from_code(ctx, int(c)) for c in bad[:MAX_EXAMPLES]),
         failure_count=len(bad),
     )

@@ -79,6 +79,19 @@ class LaurentSeries:
             )
         return self.coeffs[self.top - d]
 
+    def frac_coeffs(self, count: int) -> np.ndarray:
+        """The codes alpha_(-1), ..., alpha_(-count) as an int64 array: what
+        coefficient(-1 - i) gives for i < count, from one slice."""
+        if count > self.prec:
+            raise PrecisionExceeded(
+                f"coefficient of t^{-1 - self.prec} below tracked precision {self.prec}"
+            )
+        start = self.top + 1  # the index of degree -1, negative if top < -1
+        zeros = min(max(-start, 0), count)
+        out = np.zeros(count, dtype=np.int64)
+        out[zeros:] = self.coeffs[start + zeros : start + count]
+        return out
+
     def norm_degree(self):
         """Degree of the leading nonzero stored coefficient, or None if the
         series is zero to working precision."""

@@ -110,8 +110,7 @@ def rank(ctx: FieldCtx, M) -> int:
 
 def hankel_matrix(alpha: LaurentSeries, n: int) -> np.ndarray:
     """Matrix of f -> (alpha f^2)_{-1} on G_n: entries alpha_(-1-i-j)."""
-    coeffs = np.array([alpha.coefficient(-1 - k) for k in range(2 * n - 1)], dtype=np.int64)
-    return coeffs[np.add.outer(np.arange(n), np.arange(n))]
+    return alpha.frac_coeffs(max(2 * n - 1, 0))[np.add.outer(np.arange(n), np.arange(n))]
 
 
 def is_hankel(M: np.ndarray) -> bool:

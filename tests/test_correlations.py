@@ -6,6 +6,7 @@ import pytest
 
 from ffmobius import Poly, get_field, mobius
 from ffmobius import correlations, fields
+from ffmobius import sieve as _sieve
 from ffmobius.errors import CharacteristicError, IdentityCheckError, PrecisionExceeded
 from ffmobius.hayes import build_group, class_of, l_polynomial
 from ffmobius.laurent import LaurentSeries, sample_torus
@@ -241,6 +242,114 @@ def test_form_of_quad_data_is_checked_exactly(name, n, kind, request, monkeypatc
             correlations.PhaseForm.compile(QuadraticPhase(qp), n)
 
 
+def _linear_exponents_oracle(phase, ncoords, codes):
+    """LinearPhase.exponents one coordinate at a time."""
+    ctx, q = phase.ctx, phase.ctx.q
+    phase.require_prec(ncoords)
+    acc = np.zeros(len(codes), dtype=np.int64)
+    for i in range(ncoords):
+        a = phase.alpha.coefficient(-1 - i)
+        if a:
+            acc += ctx.TRACE[ctx.MUL[a]][(codes // q**i) % q]
+    return acc % ctx.p
+
+
+def _hankel_exponents_oracle(phase, ncoords, codes):
+    """HankelPhase.exponents by squaring f one coefficient at a time."""
+    ctx, p = phase.ctx, phase.ctx.p
+    phase.require_prec(ncoords)
+    X = _sieve.codes_to_digits(ctx, codes, ncoords)
+    wid = max(2 * ncoords - 1, 0)
+    # digits of f^2 by convolution of f with itself
+    S = np.zeros((len(codes), wid), dtype=np.int16)
+    for i in range(ncoords):
+        S[:, 2 * i] = ctx.ADD[S[:, 2 * i], ctx.MUL[X[:, i], X[:, i]]]
+        if p != 2:  # the cross terms 2 f_i f_j, j > i, land on i + j
+            cross = ctx.MUL[X[:, i : i + 1], X[:, i + 1 :]]
+            span = slice(2 * i + 1, i + ncoords)
+            S[:, span] = ctx.ADD[S[:, span], ctx.ADD[cross, cross]]
+    acc = np.zeros(len(codes), dtype=np.int64)
+    for k in range(wid):
+        a = phase.alpha.coefficient(-1 - k)
+        if a:
+            acc += ctx.TRACE[ctx.MUL[a]][S[:, k]]
+    if phase.beta is not None:
+        for i in range(ncoords):
+            b = phase.beta.coefficient(-1 - i)
+            if b:
+                acc += ctx.TRACE[ctx.MUL[b]][X[:, i]]
+    return acc % p
+
+
+@pytest.mark.parametrize("name,nmax", [("F2", 9), ("F3", 6), ("F4", 5), ("F5", 4), ("F8", 3), ("F9", 3)])
+def test_phase_exponents_match_loop_oracles(name, nmax, request, monkeypatch):
+    # the gathered exponents equal the loops they replace on every code of
+    # G_n, n = 0 .. nmax, with beta None and given; the series are drawn
+    # with their top above or below degree -1 as well.  They stay a second
+    # route: the Hankel matrix, the digit form and MULMAT are out of reach
+    ctx = request.getfixturevalue(name)
+    monkeypatch.setattr(correlations, "hankel_matrix", None)
+    monkeypatch.setattr(correlations, "digit_form", None)
+    monkeypatch.setattr(ctx, "MULMAT", None)
+    rng = np.random.default_rng(ctx.q + 100)
+    for n in range(nmax + 1):
+        codes = np.arange(ctx.q**n)
+        for top in (-1, 1, -3):
+            alpha = LaurentSeries(ctx, top, rng.integers(0, ctx.q, size=top + 2 * n + 4))
+            beta = LaurentSeries(ctx, top, rng.integers(0, ctx.q, size=top + n + 4))
+            phase = LinearPhase(alpha)
+            assert np.array_equal(phase.exponents(n, codes), _linear_exponents_oracle(phase, n, codes))
+            for b in (None, beta):
+                phase = HankelPhase(alpha, b)
+                want = _hankel_exponents_oracle(phase, n, codes)
+                assert np.array_equal(phase.exponents(n, codes), want), (n, top, b)
+
+
+@pytest.mark.parametrize("name,n", [("F2", 5), ("F3", 4), ("F4", 3), ("F9", 2)])
+@pytest.mark.parametrize("kind", ["linear", "hankel"])
+def test_compile_names_the_pair_code_an_exponent_is_off_at(name, n, kind, request):
+    # exponents off by one at a single pair code p^k + p^l are caught by the
+    # compile, which names that code, the form's value and the exponent
+    ctx = request.getfixturevalue(name)
+    p, N = ctx.p, ctx.s * n
+    rng = np.random.default_rng(ctx.q + 7)
+    alpha = sample_torus(ctx, rng, 2 * n + 2)
+    phase = LinearPhase(alpha) if kind == "linear" else HankelPhase(alpha, sample_torus(ctx, rng, n + 1))
+    exponents = phase.exponents
+    for k, l in ((0, 1), (0, N - 1), (N - 2, N - 1)):
+        bad = p**k + p**l
+        phase.exponents = lambda ncoords, codes: (exponents(ncoords, codes) + (codes == bad)) % p
+        with pytest.raises(IdentityCheckError, match="quadratic data") as err:
+            correlations.PhaseForm.compile(phase, n)
+        good = int(exponents(n, np.array([bad]))[0])
+        assert err.value.counterexample == (
+            f"{phase.descriptor()} on {n} coordinates, code {bad}: form {good}, exponents {(good + 1) % p}"
+        )
+
+
+def test_check_set_is_cached_read_only_and_bounded():
+    # the parent's check codes in the parent's order, with their digit rows,
+    # built once per (p, N)
+    check_set = correlations._check_set
+    assert check_set.cache_info().maxsize is not None
+    for p, N in ((2, 5), (3, 4), (2, 6), (5, 0)):
+        P = p**N
+        units = p ** np.arange(N, dtype=np.int64)
+        want = np.concatenate((
+            [0], units, (units[:, None] + units).ravel(), [v * ((P - 1) // (p - 1)) for v in range(1, p)],
+            [(k * 0x9E3779B97F4A7C15 + 0x632BE5AB) % P for k in range(16)],
+        )).astype(np.int64)
+        codes, rows = check_set(p, N)
+        assert np.array_equal(codes, want) and codes.dtype == np.int64
+        assert np.array_equal(rows, codes[:, None] // units % p) and rows.dtype == np.float64
+        assert not codes.flags.writeable and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+        hits = check_set.cache_info().hits
+        assert check_set(p, N)[0] is codes
+        assert check_set.cache_info().hits == hits + 1
+
+
 def test_quad_zero_phase(F3):
     qp = QuadPhase(F3, np.zeros((4, 4), dtype=int), np.zeros(4, dtype=int), 0, 1)
     assert quad_corr(F3, 4, qp).sum(F3) == -4
@@ -404,12 +513,15 @@ def test_periodic_table_incomplete(F2):
         periodic_corr(F2, 3, 1, Poly.t(F2), {})
 
 
-def test_periodic_route_random(F2):
+def test_periodic_route_random(F2, monkeypatch):
     for seed in (1, 2, 3, 4, 5):
         alpha = sample_torus(F2, seed, 12)
         direct, periodic, l, g = periodic_route_check(F2, 8, alpha)
         assert abs(direct - periodic) < 1e-9
         assert l == 8 - 4 - int(g.deg)
+        monkeypatch.setattr(correlations, "CHUNK", 37)  # the exponents over uneven spans
+        assert periodic_route_check(F2, 8, alpha) == (direct, periodic, l, g)
+        monkeypatch.undo()
 
 
 def test_periodic_route_catches_nonconstant_exponent(F2, monkeypatch):

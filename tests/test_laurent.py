@@ -25,6 +25,22 @@ def test_parse_format_roundtrip(F2):
         s.coefficient(-4)
 
 
+@pytest.mark.parametrize("text", ["-1:1,0,1", "2:1,0,2,1,0,1", "-3:2,1", "0:1"])
+def test_frac_coeffs_is_coefficient_in_one_slice(F3, text):
+    # the top may sit above degree -1 (its fraction starts mid-way) or below
+    # it (the fraction starts with zeros); past the precision both raise alike
+    s = series(F3, text)
+    for count in range(s.prec + 1):
+        got = s.frac_coeffs(count)
+        assert got.dtype == np.int64
+        assert got.tolist() == [s.coefficient(-1 - i) for i in range(count)]
+    with pytest.raises(PrecisionExceeded) as want:
+        s.coefficient(-1 - s.prec)
+    with pytest.raises(PrecisionExceeded) as err:
+        s.frac_coeffs(s.prec + 1)
+    assert str(err.value) == str(want.value)
+
+
 def test_norm_and_torus(F2):
     assert series(F2, "-1:1,0,1").norm() == 0.5
     assert series(F2, "2:1,0,0,0,0").norm() == 4.0

@@ -55,6 +55,54 @@ def test_cli_run_starts_no_thread_pool(tmp_path):
     assert res.stdout.strip() == "False"
 
 
+# In a fresh interpreter, the modules first imported while tiny versions of
+# the benchmark's in-process jobs run: a sample of each sweep experiment, a
+# pointwise Vaughan audit, a decomposition and its type I mean square, and
+# one Hayes group with the four checks of each character and the principal
+# check.  The second script lists what import numpy.random brings in, which
+# the sweeps' generator needs.
+JOBS_IMPORTS = """
+import sys
+from ffmobius import correlations, get_field, hayes, polys
+from ffmobius.laurent import LaurentSeries
+F2, F3 = get_field(2), get_field(3)
+before = set(sys.modules)
+for experiment in ("linear", "quadratic", "hankel"):
+    correlations.exponent_sweep(F3, experiment, [3], 1, 0)
+correlations.vaughan_pointwise_audit(F3, 5, 1, 2)
+phase = correlations.LinearPhase(LaurentSeries.parse(F2, "-1:1,0,1,1,0,1,1"))
+correlations.vaughan_decompose(F2, 6, phase, 1, 2)
+correlations.type_one_mean_square(F2, 6, phase, 2)
+Q = polys.Poly.parse(F3, "1,1")
+group = hayes.build_group(F3, 1, Q)
+for ch in group.characters():
+    if not ch.is_principal:
+        hayes.l_polynomial(ch, 4)
+        hayes.rh_check(ch)
+        hayes.euler_inverse_check(ch, 4)
+        hayes.log_deriv_check(ch, 3)
+hayes.principal_check(F3, Q, 4)
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+RANDOM_IMPORTS = """
+import sys, ffmobius
+before = set(sys.modules)
+import numpy.random
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_jobs_import_nothing_lazily():
+    # a module a job imports on first use (numpy.ma, from np.unique) is paid
+    # inside the first timed job of every process
+    def imported(script):
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        return set(res.stdout.split())
+
+    assert imported(JOBS_IMPORTS) <= imported(RANDOM_IMPORTS)
+
+
 def test_benchmark_bound_signatures():
     # perfbench/child.py binds these: it unpacks exactly these seven bound
     # parameters of phase_hist and passes workers= to the three drivers.
